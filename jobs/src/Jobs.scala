@@ -42,9 +42,10 @@ object ReplicationJob {
   def main(args: Array[String]): Unit = { val s = Jobs.session(); println(Tables.replication(s, Jobs.scaleOf(args))); s.stop() }
 }
 
-/** True thread scaling: one SparkSession per local[n], n in 1..16 —
-  * closest analog of the paper's 1-32 worker threads (Figure 9).
-  * Run standalone: each round stops the previous session.
+/** Figure 9 analog: runtime vs `partitions`, n in 1..16, inside one
+  * SparkSession. `partitions` is the number of F tasks per BSP round (and
+  * of Layph's per-subgraph tasks), the stand-in for the paper's 1-32
+  * worker threads; the session's core count stays fixed.
   */
 object ThreadScalingJob {
   def main(args: Array[String]): Unit = {

@@ -162,14 +162,15 @@ object Tables {
   }
 
   // ------------------------------------------------------------ Figure 9
-  /** Scaling with the number of workers (Spark tasks per stage stand in
-    * for the paper's threads).
+  /** Scaling with the number of workers: `partitions` (F tasks per BSP
+    * round, and Layph's per-subgraph tasks) stands in for the paper's
+    * threads, varied inside one session with a fixed core count.
     */
   def threadScaling(spark: SparkSession, scale: Double, batch: Int = 100): String = {
     val sb = new StringBuilder
     val parts = Seq(1, 2, 4, 8, 16)
     for (algoName <- Seq("SSSP", "PageRank")) {
-      sb.append(s"\n## Figure 9 analog ($algoName on UK): runtime vs parallelism (partitions)\n")
+      sb.append(s"\n## Figure 9 analog ($algoName on UK): runtime vs partitions (F tasks per round, one session)\n")
       val names = if (algoName == "SSSP") Seq("KickStarter", "Ingress", "Layph")
         else Seq("GraphBolt", "Ingress", "Layph")
       val rows = for (n <- parts) yield {
@@ -181,7 +182,7 @@ object Tables {
         val res = Harness.runScenario("UK", g, algo, systems, Seq(delta))
         Seq(n.toString) ++ names.map(nm => res.find(_.system == nm).get.incStats.wallMs.toString)
       }
-      sb.append(Harness.table(Seq("Partitions") ++ names.map(_ + " ms"), rows))
+      sb.append(Harness.table(Seq("Partitions (F tasks/round)") ++ names.map(_ + " ms"), rows))
       sb.append("\n")
     }
     sb.toString

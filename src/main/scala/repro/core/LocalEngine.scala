@@ -50,43 +50,16 @@ object LocalEngine {
   ): LocalRun = {
     val t0  = System.nanoTime()
     val thr = if (emitThreshold.isNaN) algo.eps else emitThreshold
-    var frontier = mutable.LongMap.empty[Double]
-    seeds.foreach { case (v, m) =>
-      frontier.updateWith(v) { case Some(a) => Some(algo.agg(a, m)); case None => Some(m) }
-    }
+    var frontier = Bsp.combine(algo, seeds)
     var acts  = 0L
     var iters = 0
-    val minPlus = algo.kind == MinPlus
 
     while (frontier.nonEmpty && iters < maxIter) {
       iters += 1
       val next = mutable.LongMap.empty[Double]
-      frontier.foreach { case (v, m) =>
-        // apply G to the vertex state, decide what (if anything) to re-emit
-        val emit: Double =
-          if (minPlus) {
-            val x = states.getOrElse(v, algo.defaultState)
-            if (m < x) { states(v) = m; m } else algo.zero
-          } else {
-            states(v) = states.getOrElse(v, 0.0) + m
-            if (math.abs(m) >= thr) m else algo.zero
-          }
-        // generate F over out-edges
-        if (emit != algo.zero) {
-          val out = adj(v)
-          if (out != null && out.nonEmpty) {
-            acts += out.length
-            var i = 0
-            while (i < out.length) {
-              val (d, w) = out(i)
-              if (!absorbing.contains(d)) {
-                val msg = algo.gen(emit, w)
-                next.updateWith(d) { case Some(a) => Some(algo.agg(a, msg)); case None => Some(msg) }
-              }
-              i += 1
-            }
-          }
-        }
+      frontier.foreachEntry { (v, m) =>
+        val emit = Bsp.applyMsg(algo, states, v, m, thr)
+        if (emit != algo.zero) acts += Bsp.propagate(algo, adj(v), emit, absorbing, next)
       }
       frontier = next
     }

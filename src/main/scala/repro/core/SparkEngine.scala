@@ -1,35 +1,33 @@
 package repro.core
 
 import scala.collection.mutable
-import org.apache.spark.HashPartitioner
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
 
 final case class SparkRun(states: mutable.LongMap[Double], stats: RunStats)
 
 /** Distributed accumulative engine: Pregel-style BSP rounds on Spark.
   *
-  * Vertex states live in a hash-partitioned pair RDD; the (algorithm-
-  * weighted) adjacency is broadcast, so each round is one narrow
-  * `fullOuterJoin` (apply G) plus one `reduceByKey` shuffle of the
-  * generated messages (F). Every engine in this repo — batch, Ingress,
-  * the modeled competitors, and Layph's upper-layer iteration — runs
-  * through this loop, so response-time and edge-activation comparisons
-  * are apples-to-apples.
-  *
-  * Edge activations (one per F application) are counted with a Spark
-  * accumulator; stages are materialized exactly once per round (the
-  * `count` on the persisted next frontier), so the counter is exact.
+  * Vertex states stay in the driver, where every caller already holds them
+  * before and after a run; the (algorithm-weighted) adjacency is broadcast.
+  * A round applies G to the aggregated frontier in the driver, which costs
+  * O(|frontier|), then runs one Spark job of one stage and no shuffle: the
+  * emitting vertices are sliced over `numPartitions` tasks, each task
+  * applies F over the broadcast adjacency and G-combines its messages per
+  * destination, and the driver G-merges the task results into the next
+  * frontier. A round in which no vertex emits launches no job. Both halves
+  * are the [[Bsp]] helpers that [[LocalEngine]] runs inline, so the two
+  * engines take the same rounds and count the same activations. Every
+  * engine in this repo — batch, Ingress, the modeled competitors, and
+  * Layph's upper-layer iteration — runs through this loop, so
+  * response-time and edge-activation comparisons are apples-to-apples.
   */
 final class SparkEngine(spark: SparkSession, val numPartitions: Int = 8) extends Serializable {
   private val sc = spark.sparkContext
-  private val part = new HashPartitioner(numPartitions)
 
   /** Runs to fixpoint (or `maxIter`) from the given states and seeds.
     *
-    * @param states0       full initial state map (every reachable node id)
+    * @param states0       initial state map; not mutated (the result is a copy)
     * @param seeds         initial pending messages, G-aggregated per vertex
     * @param emitThreshold SumTimes messages below it are not re-emitted
     * @param maxIter       cap on rounds (GraphBolt/DZiG epoch alignment)
@@ -43,81 +41,46 @@ final class SparkEngine(spark: SparkSession, val numPartitions: Int = 8) extends
       absorbing: Set[Long] = Set.empty,
       maxIter: Int = Int.MaxValue,
   ): SparkRun = {
-    val t0      = System.nanoTime()
-    val thr     = if (emitThreshold.isNaN) algo.eps else emitThreshold
-    val minPlus = algo.kind == MinPlus
-    val acc     = sc.longAccumulator("edge-activations")
-    val absBc   = sc.broadcast(absorbing)
-
-    val seedAgg = mutable.LongMap.empty[Double]
-    seeds.foreach { case (v, m) =>
-      seedAgg.updateWith(v) { case Some(a) => Some(algo.agg(a, m)); case None => Some(m) }
-    }
-    if (seedAgg.isEmpty) {
-      absBc.destroy()
-      return SparkRun(states0, RunStats(0, 0, (System.nanoTime() - t0) / 1000000))
-    }
-
-    var states: RDD[(Long, Double)] =
-      sc.parallelize(states0.toSeq, numPartitions).partitionBy(part)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-    var frontier: RDD[(Long, Double)] =
-      sc.parallelize(seedAgg.toSeq, numPartitions).partitionBy(part)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-    var live = frontier.count()
+    val t0  = System.nanoTime()
+    val thr = if (emitThreshold.isNaN) algo.eps else emitThreshold
+    var frontier = Bsp.combine(algo, seeds)
+    val states = states0.clone()
+    var acts  = 0L
     var iters = 0
-    val defaultState = algo.defaultState
-    val zero = algo.zero
-    // RDDs persisted for the round in flight; unpersisted once the *next*
-    // round has materialized (they are its narrow-dependency inputs).
-    var persistedPrev: List[RDD[_]] = List(states, frontier)
 
-    while (live > 0 && iters < maxIter) {
+    while (frontier.nonEmpty && iters < maxIter) {
       iters += 1
-      // apply: G folds the aggregated message into the state; emit rule per kind
-      val joined = states.fullOuterJoin(frontier, part).mapValues {
-        case (xs, ms) =>
-          val x = xs.getOrElse(defaultState)
-          ms match {
-            case Some(m) =>
-              if (minPlus) { if (m < x) (m, m) else (x, zero) }
-              else { (x + m, if (math.abs(m) >= thr) m else zero) }
-            case None => (x, zero)
-          }
-      }.persist(StorageLevel.MEMORY_AND_DISK)
-      if (iters % 15 == 0) joined.localCheckpoint()
-
-      // generate: F over the broadcast adjacency, drop messages into absorbing sinks
-      val newFrontier = joined
-        .mapPartitions { it =>
-          val adj = adjBc.value; val abs = absBc.value
-          it.flatMap { case (v, (_, emit)) =>
-            if (emit == zero) Iterator.empty
-            else adj.get(v) match {
-              case Some(out) if out.nonEmpty =>
-                acc.add(out.length)
-                out.iterator
-                  .filterNot { case (d, _) => abs.contains(d) }
-                  .map { case (d, w) => (d, algo.gen(emit, w)) }
-              case _ => Iterator.empty
-            }
-          }
+      val vs = mutable.ArrayBuilder.make[Long]
+      val es = mutable.ArrayBuilder.make[Double]
+      frontier.foreachEntry { (v, m) =>
+        val emit = Bsp.applyMsg(algo, states, v, m, thr)
+        if (emit != algo.zero) { vs += v; es += emit }
+      }
+      frontier = mutable.LongMap.empty[Double]
+      if (vs.length > 0) {
+        val (v, e) = (vs.result(), es.result())
+        val k = math.min(numPartitions, v.length)
+        val slices = (0 until k).map { i =>
+          val (from, until) = (v.length * i / k, v.length * (i + 1) / k)
+          (v.slice(from, until), e.slice(from, until))
         }
-        .reduceByKey(part, (a, b) => algo.agg(a, b))
-        .persist(StorageLevel.MEMORY_AND_DISK)
-
-      live = newFrontier.count() // materializes joined + newFrontier exactly once
-      persistedPrev.foreach(_.unpersist(blocking = false))
-      persistedPrev = List(joined, newFrontier)
-      states = joined.mapValues(_._1)
-      frontier = newFrontier
+        val results = sc.parallelize(slices, k).map { case (sv, se) =>
+          val adj = adjBc.value
+          val next = mutable.LongMap.empty[Double]
+          var a = 0L
+          for (i <- sv.indices) a += Bsp.propagate(algo, adj.getOrElse(sv(i), null), se(i), absorbing, next)
+          val (dv, dm) = (new Array[Long](next.size), new Array[Double](next.size))
+          var j = 0
+          next.foreachEntry { (d, m) => dv(j) = d; dm(j) = m; j += 1 }
+          (a, dv, dm)
+        }.collect()
+        results.foreach { case (a, dv, dm) =>
+          acts += a
+          for (i <- dv.indices) Bsp.offer(algo, frontier, dv(i), dm(i))
+        }
+      }
     }
-
-    val out = mutable.LongMap.empty[Double]
-    states.collect().foreach { case (v, x) => out(v) = x }
-    persistedPrev.foreach(_.unpersist(blocking = false))
-    absBc.destroy()
-    SparkRun(out, RunStats(iters, acc.value, (System.nanoTime() - t0) / 1000000))
+    SparkRun(states, RunStats(iters, acts, (System.nanoTime() - t0) / 1000000))
   }
 
   /** Batch run of Equation 1 on the full graph from the algorithm's M0. */

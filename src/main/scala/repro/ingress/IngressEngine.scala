@@ -73,8 +73,6 @@ class SumIncSystem(
   protected var states: mutable.LongMap[Double] = _
   protected var batchEpochs: Int = Int.MaxValue
 
-  def currentStates: mutable.LongMap[Double] = states
-
   def initialize(g0: GraphState, a: VCAlgo): SparkRun = {
     require(a.kind == SumTimes, s"$name models accumulative algorithms only")
     g = g0.copyGraph(); algo = a
@@ -133,8 +131,6 @@ class MinIncSystem(
   protected var algo: VCAlgo = _
   protected var states: mutable.LongMap[Double] = _
   protected var parents: mutable.LongMap[Long] = _
-
-  def currentStates: mutable.LongMap[Double] = states
 
   def initialize(g0: GraphState, a: VCAlgo): SparkRun = {
     require(a.kind == MinPlus, s"$name models selective (min-based) algorithms only")

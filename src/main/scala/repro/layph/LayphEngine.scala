@@ -587,7 +587,7 @@ final class LayphEngine(
   def upperLayerSize: (Int, Long) = {
     val nV = skeletonVerts.size
     val nE = skelAdj.valuesIterator.map(_.length.toLong).sum
-    (if (minPlus) nV else nV, if (minPlus) nE else nE / 2) // split nodes double-count sum edges
+    (nV, if (minPlus) nE else nE / 2) // split nodes double-count sum edges
   }
 
   def subgraphStats: Seq[(Int, Int, Int, Int)] =

@@ -1,11 +1,14 @@
 package repro.core
 
 import scala.collection.mutable
+import org.apache.spark.scheduler._
 import repro.{Oracle, SparkSpec}
 import repro.TestUtil.assertClose
+import repro.ingress.Revision
 
 /** The distributed engine must agree with the local reference engine on
-  * every algorithm, and with DuckDB's recursive-CTE shortest paths.
+  * every algorithm, batch and seeded, and with DuckDB's recursive-CTE
+  * shortest paths; each BSP round must stay one shuffle-free Spark job.
   */
 class SparkEngineSpec extends SparkSpec {
   private lazy val engine = new SparkEngine(spark, 4)
@@ -27,12 +30,139 @@ class SparkEngineSpec extends SparkSpec {
     }
   }
 
-  test("SparkEngine counts the same SSSP activation order of magnitude as LocalEngine") {
+  test("SparkEngine counts exactly LocalEngine's SSSP batch activations") {
     val g = GraphGen.random(80, 3.0, 99)
     val s = engine.batch(SSSP(0), g)
     val l = LocalEngine.batch(SSSP(0), g)
-    // BSP schedules coincide here: both engines process the same frontier
+    // BSP schedules coincide: both engines process the same frontier
     assert(s.stats.activations == l.stats.activations)
+  }
+
+  /** Converged states on a random graph, then a ΔG applied to the graph and
+    * the revision messages an incremental system seeds for it: MinPlus
+    * pushes over inserted edges, SumTimes sends Ingress's revision deltas.
+    */
+  private def seededCase(algo: VCAlgo, seed: Int): (GraphState, mutable.LongMap[Double], Seq[(Long, Double)]) = {
+    val g = GraphGen.random(70, 3.0, seed * 31)
+    val states = LocalEngine.batch(algo, g).states
+    val delta = GraphGen.delta(g, 10, if (algo.selective) 0 else 10, seed)
+    val srcs = delta.updates.map(_.src).distinct
+    val oldRows = srcs.map(u => u -> Revision.weightedRow(g, u, algo)).toMap
+    val effective = g.applyDelta(delta)
+    val seeds = algo.kind match {
+      case MinPlus =>
+        effective.filter(u => u.isAdd && states(u.src).isFinite)
+          .map(u => u.dst -> algo.gen(states(u.src), algo.edgeWeight(u.w, 1, u.w)))
+      case SumTimes =>
+        Revision.sumSeeds(oldRows, srcs.map(u => u -> Revision.weightedRow(g, u, algo)).toMap,
+          states, algo.absorbing)
+    }
+    assert(seeds.nonEmpty && states.valuesIterator.exists(x => x.isFinite && x != 0.0))
+    (g, states, seeds)
+  }
+
+  /** Runs both engines from the same states and seeds; returns (local, spark). */
+  private def both(algo: VCAlgo, g: GraphState, states: mutable.LongMap[Double],
+                   seeds: Seq[(Long, Double)], emitThreshold: Double = Double.NaN,
+                   maxIter: Int = Int.MaxValue): (RunStats, RunStats) = {
+    val adj = g.adjacency(algo)
+    val l = LocalEngine.run(algo, adj.getOrElse(_, null), states.clone(), seeds,
+      emitThreshold, algo.absorbing, maxIter)
+    val adjBc = spark.sparkContext.broadcast(adj)
+    val s = engine.run(algo, adjBc, states, seeds, emitThreshold, algo.absorbing, maxIter)
+    adjBc.destroy()
+    val tol = if (algo.selective) 0.0 else 1e-9
+    assertClose(l.states, s.states, tol, s"${algo.name} maxIter $maxIter")
+    (l.stats, s.stats)
+  }
+
+  for ((name, mk) <- algos; seed <- 1 to 3) {
+    test(s"seeded incremental run: SparkEngine == LocalEngine: $name seed $seed") {
+      val algo = mk(GraphState.empty)
+      val (g, states, seeds) = seededCase(algo, seed)
+      val (l, s) = both(algo, g, states, seeds)
+      assert(l.iterations > 1)
+      if (algo.selective) {
+        assert(s.iterations == l.iterations, "rounds")
+        assert(s.activations == l.activations, "activations")
+      }
+    }
+  }
+
+  // GraphBolt/DZiG refine a capped number of epochs with threshold 0
+  for ((algo, thr) <- Seq[(VCAlgo, Double)]((SSSP(0), Double.NaN), (PageRank(eps = 1e-7), 0.0))) {
+    test(s"maxIter-capped seeded run: SparkEngine == LocalEngine: ${algo.name}") {
+      val (g, states, seeds) = seededCase(algo, 2)
+      val (l, s) = both(algo, g, states, seeds, emitThreshold = thr, maxIter = 2)
+      assert(l.iterations == 2 && s.iterations == 2)
+      if (algo.selective) assert(s.activations == l.activations)
+    }
+  }
+
+  /** Jobs launched inside `body`: (stages per job, shuffle bytes read and
+    * written). A marker job flushes the listener bus before reading.
+    */
+  private def jobsOf[A](body: => A): (A, Seq[Int], Long) = {
+    val sc = spark.sparkContext
+    val stagesPerJob = mutable.ArrayBuffer.empty[Int]
+    var shuffleBytes = 0L
+    val markerDone = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      private def group(p: java.util.Properties) =
+        Option(p).map(_.getProperty("spark.jobGroup.id")).orNull
+      private var groupStages = Set.empty[Int]
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        group(e.properties) match {
+          case "round-shape" =>
+            stagesPerJob += e.stageInfos.size; groupStages ++= e.stageIds
+          case "round-shape-marker" => markerDone.countDown()
+          case _ =>
+        }
+      }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+        if (groupStages.contains(e.stageId) && e.taskMetrics != null)
+          shuffleBytes += e.taskMetrics.shuffleReadMetrics.totalBytesRead +
+            e.taskMetrics.shuffleWriteMetrics.bytesWritten
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("round-shape", "SparkEngine round shape")
+      val a = try body finally sc.clearJobGroup()
+      sc.setJobGroup("round-shape-marker", "listener flush")
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+      assert(markerDone.await(30, java.util.concurrent.TimeUnit.SECONDS), "listener bus did not drain")
+      listener.synchronized((a, stagesPerJob.toList, shuffleBytes))
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("each BSP round is at most one Spark job of one stage with no shuffle") {
+    val (run, stages, shuffle) = jobsOf(engine.batch(SSSP(0), GraphGen.random(80, 3.0, 99)))
+    assert(run.stats.iterations > 4 && stages.nonEmpty)
+    assert(stages.size <= run.stats.iterations, s"${stages.size} jobs for ${run.stats.iterations} rounds")
+    assert(stages.forall(_ == 1), s"stages per job: $stages")
+    assert(shuffle == 0L)
+  }
+
+  test("a round in which no vertex emits launches no Spark job") {
+    val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
+    val adjBc = spark.sparkContext.broadcast(g.adjacency(SSSP(0)))
+    val states = mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0)
+    // the only message does not improve v1, so nothing is emitted
+    val (run, stages, _) = jobsOf(engine.run(SSSP(0), adjBc, states, Seq(1L -> 5.0)))
+    adjBc.destroy()
+    assert(run.stats.iterations == 1 && run.stats.activations == 0)
+    assert(stages.isEmpty, s"${stages.size} jobs launched")
+  }
+
+  test("run leaves the caller's states untouched and adds vertices first reached by a message") {
+    val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
+    val adjBc = spark.sparkContext.broadcast(g.adjacency(SSSP(0)))
+    val states = mutable.LongMap(0L -> 7.0)
+    val run = engine.run(SSSP(0), adjBc, states, Seq(0L -> 0.0))
+    adjBc.destroy()
+    assert(states == mutable.LongMap(0L -> 7.0))
+    assert(run.states == mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0))
   }
 
   for (seed <- 1 to 3) {
