@@ -99,6 +99,9 @@ object SynthData {
     )
   }
 
+  /** Partitions of every range that `communityGraph` draws from. */
+  private val Slices = 4
+
   /** Directed weighted graph with planted community structure — the
     * synthetic stand-in for the paper's web/social graphs (UK/IT/SK/WB),
     * scaled to laptop size. Vertices 0..nComm*commSize-1 are grouped into
@@ -111,7 +114,13 @@ object SynthData {
     *  - single random cross edges.
     *
     * Deterministic in the seed; integer weights in [1, 10]. Self loops and
-    * duplicate (src, dst) pairs are dropped.
+    * duplicate (src, dst) pairs are dropped. `rand` draws one stream per
+    * partition, so every generating range has a fixed `Slices` partitions
+    * and the graph does not move with the core count. The output still
+    * depends on the join plan Spark picks for the bursts' `crossJoin`:
+    * with 4 slices the planted test graph of `CommunitySpec` has 873 edges
+    * with broadcast joins off and 872 with them on, and the `UK` profile
+    * has 67,163 and 67,158.
     *
     * @return DataFrame (src: long, dst: long, w: double)
     */
@@ -129,7 +138,7 @@ object SynthData {
     val nV = nComm.toLong * commSize
     val nIntra = (nV * intraDegree).toLong
 
-    val intra = spark.range(nIntra).select(
+    val intra = spark.range(0, nIntra, 1, Slices).select(
       (col("id") % nComm) as "c",
       (rand(seed)     * commSize).cast(LongType) as "so",
       (rand(seed + 1) * commSize).cast(LongType) as "do",
@@ -140,18 +149,18 @@ object SynthData {
       col("w"),
     )
 
-    val bursts = spark.range(nBursts.toLong).select(
+    val bursts = spark.range(0, nBursts.toLong, 1, Slices).select(
       (rand(seed + 3) * nV).cast(LongType) as "src",
       (rand(seed + 4) * nComm).cast(LongType) as "tc",
       col("id"),
-    ).crossJoin(spark.range(burstFan.toLong).toDF("j")).select(
+    ).crossJoin(spark.range(0, burstFan.toLong, 1, Slices).toDF("j")).select(
       col("src"),
       (col("tc") * commSize +
         (rand(seed + 5) * commSize).cast(LongType)) as "dst",
       (rand(seed + 6) * 10 + 1).cast(IntegerType).cast(DoubleType) as "w",
     )
 
-    val singles = spark.range(nSingles.toLong).select(
+    val singles = spark.range(0, nSingles.toLong, 1, Slices).select(
       (rand(seed + 7) * nV).cast(LongType) as "src",
       (rand(seed + 8) * nV).cast(LongType) as "dst",
       (rand(seed + 9) * 10 + 1).cast(IntegerType).cast(DoubleType) as "w",

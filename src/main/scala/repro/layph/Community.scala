@@ -3,6 +3,7 @@ package repro.layph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.core.RawEdge
 
 /** Dense-subgraph candidate discovery.
   *
@@ -12,7 +13,10 @@ import org.apache.spark.sql.functions._
   * propagation* with a deterministic tie-break and the same size cap K —
   * it optimizes the same objective the paper actually relies on (many
   * internal edges, few boundary vertices) and runs as pure Catalyst
-  * DataFrame operations. The substitution is recorded in DESIGN.md.
+  * DataFrame operations. Synchronous LPA can split a community into
+  * fragments, so [[detectMap]], the one detection path, follows it with the
+  * greedy fragment merge of [[agglomerate]] and returns dense ids. The
+  * substitution is recorded in DESIGN.md.
   */
 object Community {
 
@@ -53,29 +57,39 @@ object Community {
       labels = next
     }
 
-    // size cap K: hash-split oversized communities into ceil(size/K) buckets
+    // size cap K: hash-split oversized communities into ceil(size/K) buckets;
+    // a community is the pair (label, part), numbered densely in that order
     val sizes = labels.groupBy("label").agg(count(lit(1)).as("sz"))
     val out = labels.join(sizes, "label")
       .withColumn("parts", ceil(col("sz") / lit(maxSize.toDouble)).cast("long"))
-      .withColumn("comm",
-        when(col("parts") <= 1, col("label") * 1000L)
-          .otherwise(col("label") * 1000L + pmod(hash(col("v")).cast("long"), col("parts"))))
-      .select(col("v"), col("comm"))
-    val dense = out.select(col("comm")).distinct()
-      .withColumn("cid", row_number().over(Window.orderBy(col("comm"))).cast("long") - 1)
-    val res = out.join(dense, "comm").select(col("v"), col("cid").as("community"))
+      .withColumn("part",
+        when(col("parts") <= 1, lit(0L)).otherwise(pmod(hash(col("v")).cast("long"), col("parts"))))
+      .select(col("v"), col("label"), col("part"))
+    val dense = out.select(col("label"), col("part")).distinct()
+      .withColumn("cid", row_number().over(Window.orderBy(col("label"), col("part"))).cast("long") - 1)
+    val res = out.join(dense, Seq("label", "part")).select(col("v"), col("cid").as("community"))
     val materialized = res.localCheckpoint()
     und.unpersist(blocking = false)
     labels.unpersist(blocking = false)
     materialized
   }
 
-  /** Driver-side convenience: vertex -> community id map. */
+  /** Dense-subgraph candidates: capped LPA ([[detect]]), then the driver-side
+    * fragment merge of [[agglomerate]] over the directed (src, dst) rows of `edgesDF`
+    * under the same cap, renumbered densely from 0 in the order of the
+    * merged ids.
+    *
+    * @return vertex -> community id; every vertex of the edge list appears
+    *         exactly once, and the ids are 0 until the number of communities
+    */
   def detectMap(spark: SparkSession, edgesDF: DataFrame, rounds: Int = 6, maxSize: Int = 1500): Map[Long, Long] = {
     val df = detect(spark, edgesDF, rounds, maxSize)
-    val m = df.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val lpa = df.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     df.unpersist(blocking = false)
-    m
+    val edges = edgesDF.select("src", "dst").collect().iterator.map(r => RawEdge(r.getLong(0), r.getLong(1), 0.0))
+    val merged = agglomerate(edges, lpa, maxSize)
+    val dense = merged.values.toSeq.distinct.sorted.zipWithIndex.map { case (c, i) => c -> i.toLong }.toMap
+    merged.map { case (v, c) => v -> dense(c) }
   }
 
   /** Louvain-flavored agglomeration: synchronous LPA fragments large sparse
@@ -84,7 +98,7 @@ object Community {
     * internal edges (and the size cap allows it). Deterministic.
     */
   def agglomerate(
-      edges: Iterator[repro.core.RawEdge],
+      edges: Iterator[RawEdge],
       cand0: Map[Long, Long],
       maxSize: Int,
       passes: Int = 4,

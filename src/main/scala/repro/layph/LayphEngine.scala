@@ -133,12 +133,10 @@ final class LayphEngine(
     g = g0.copyGraph(); algo = a; minPlus = algo.kind == MinPlus
     val tDetect0 = System.nanoTime()
 
-    // dense subgraph discovery (capped community detection + agglomeration
-    // of LPA fragments + Definition 2)
+    // dense subgraph discovery: candidates from Community.detectMap (capped
+    // LPA + fragment merge), then Definition 2
     val cand = cfg.fixedMembership.getOrElse(
-      Community.agglomerate(g.edges,
-        Community.detectMap(spark, g.toDF(spark), cfg.lpaRounds, cfg.maxCommunitySize),
-        cfg.maxCommunitySize))
+      Community.detectMap(spark, g.toDF(spark), cfg.lpaRounds, cfg.maxCommunitySize))
     val protectedVerts = algo.roots.getOrElse(Set.empty) ++ algo.absorbing
     memb = Layering.selectDense(g, cand, cfg, protectedVerts)
     numSg = if (memb.isEmpty) 0 else memb.values.max + 1

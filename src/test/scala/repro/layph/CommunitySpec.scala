@@ -14,8 +14,9 @@ class CommunitySpec extends SparkSpec {
       val top = members.groupBy(m).values.map(_.size).max
       top.toDouble / members.size
     }
-    // a community occasionally splits in two under synchronous LPA — that is
-    // harmless for layering (both halves can still be dense subgraphs)
+    // synchronous LPA occasionally splits a community in two; detectMap
+    // merges such fragments, and the 0.6 floor still leaves room for a split
+    // that is harmless for layering (both halves can be dense subgraphs)
     assert(purity.forall(_ >= 0.6), s"low purity: $purity")
     assert(purity.sum / purity.size >= 0.8, s"low average purity: $purity")
   }
@@ -37,6 +38,17 @@ class CommunitySpec extends SparkSpec {
     val a = Community.detectMap(spark, plantedGraph, rounds = 4, maxSize = 200)
     val b = Community.detectMap(spark, plantedGraph, rounds = 4, maxSize = 200)
     assert(a == b)
+  }
+
+  test("a label cut into more than 1000 parts keeps apart from the next label") {
+    import spark.implicits._
+    // LPA labels the star on 0 and 2..1102 as 0, and the cap cuts it into
+    // 1102 parts; the pair {1, 5000} is labelled 1 and shares no community
+    // with the star
+    val edges = ((2L to 1102L).map(v => (0L, v, 1.0)) :+ ((1L, 5000L, 1.0))).toDF("src", "dst", "w")
+    val m = Community.detectMap(spark, edges, rounds = 2, maxSize = 1)
+    val star = (0L +: (2L to 1102L)).map(m).toSet
+    assert(!star.contains(m(1L)) && !star.contains(m(5000L)))
   }
 
   test("community ids are dense from 0") {
