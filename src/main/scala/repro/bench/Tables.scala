@@ -9,7 +9,7 @@ import repro.layph.{LayphConfig, LayphEngine}
 
 /** One runner per reproduced evaluation table/figure. Each returns the
   * formatted table text (also printed by the bench suites into
-  * bench_output.txt, and by the spark-submit jobs).
+  * bench_output.txt).
   */
 object Tables {
 

@@ -78,31 +78,30 @@ final class GraphState private (
     effective.result()
   }
 
+  /** Algorithm-weighted out-row of u: [(v, F-weight of (u,v))] from the raw
+    * weights and u's out-degree stats, empty when u has no out-edge.
+    */
+  def weightedRow(u: Long, algo: VCAlgo): Array[(Long, Double)] =
+    out.get(u) match {
+      case Some(m) if m.nonEmpty =>
+        val n = m.size; val sw = m.valuesIterator.sum
+        m.iterator.map { case (v, w) => (v, algo.edgeWeight(w, n, sw)) }.toArray
+      case _ => Array.empty
+    }
+
   /** Algorithm-weighted forward adjacency: u -> [(v, F-weight)]. */
   def adjacency(algo: VCAlgo): Map[Long, Array[(Long, Double)]] = {
     val b = Map.newBuilder[Long, Array[(Long, Double)]]
-    out.foreach { case (u, m) =>
-      if (m.nonEmpty) {
-        val n = m.size; val sw = m.valuesIterator.sum
-        b += u -> m.iterator.map { case (v, w) => (v, algo.edgeWeight(w, n, sw)) }.toArray
-      }
+    out.keysIterator.foreach { u =>
+      val row = weightedRow(u, algo)
+      if (row.nonEmpty) b += u -> row
     }
     b.result()
   }
 
   /** Algorithm-weighted reverse adjacency: v -> [(u, F-weight of (u,v))]. */
-  def reverseAdjacency(algo: VCAlgo): Map[Long, Array[(Long, Double)]] = {
-    val rev = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
-    out.foreach { case (u, m) =>
-      if (m.nonEmpty) {
-        val n = m.size; val sw = m.valuesIterator.sum
-        m.foreach { case (v, w) =>
-          rev.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((u, algo.edgeWeight(w, n, sw)))
-        }
-      }
-    }
-    rev.iterator.map { case (v, b) => (v, b.toArray) }.toMap
-  }
+  def reverseAdjacency(algo: VCAlgo): Map[Long, Array[(Long, Double)]] =
+    GraphState.reverse(adjacency(algo))
 
   def copyGraph(): GraphState = {
     val o2 = mutable.LongMap.empty[mutable.LongMap[Double]]
@@ -122,6 +121,15 @@ final class GraphState private (
 
 object GraphState {
   def empty: GraphState = new GraphState(mutable.LongMap.empty, mutable.Set.empty)
+
+  /** Reverses a weighted adjacency: v -> [(u, w)] for every u -> (v, w). */
+  def reverse(adj: Map[Long, Array[(Long, Double)]]): Map[Long, Array[(Long, Double)]] = {
+    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
+    adj.foreach { case (u, outs) =>
+      outs.foreach { case (v, w) => acc.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((u, w)) }
+    }
+    acc.iterator.map { case (v, b) => (v, b.toArray) }.toMap
+  }
 
   def fromEdges(edges: Iterable[RawEdge], extraVertices: Iterable[Long] = Nil): GraphState = {
     val g = empty

@@ -9,15 +9,6 @@ import repro.core._
   */
 object Revision {
 
-  /** Algorithm-weighted out-row of u on the current graph. */
-  def weightedRow(g: GraphState, u: Long, algo: VCAlgo): Map[Long, Double] =
-    g.out.get(u) match {
-      case Some(m) if m.nonEmpty =>
-        val n = m.size; val sw = m.valuesIterator.sum
-        m.iterator.map { case (v, w) => v -> algo.edgeWeight(w, n, sw) }.toMap
-      case _ => Map.empty
-    }
-
   /** SumTimes revision deltas (Ingress's memoization-free scheme): for each
     * changed source u, every target whose effective weight moved receives
     * `x_u * (w_new - w_old)` — cancellation when negative, compensation
@@ -85,14 +76,14 @@ class SumIncSystem(
   def update(delta: GraphDelta): SparkRun = {
     val t0 = System.nanoTime()
     val touched = delta.updates.map(_.src).distinct
-    val oldRows = touched.map(u => u -> Revision.weightedRow(g, u, algo)).toMap
+    val oldRows = touched.map(u => u -> g.weightedRow(u, algo).toMap).toMap
     val newVerts = delta.touchedVertices.filterNot(g.verts.contains)
     val effective = g.applyDelta(delta)
     delta.touchedVertices.foreach(v => if (!states.contains(v)) states(v) = algo.defaultState)
     if (effective.isEmpty)
       return SparkRun(states, RunStats(0, 0, (System.nanoTime() - t0) / 1000000))
     val srcs = effective.map(_.src).toSet
-    val newRows = srcs.map(u => u -> Revision.weightedRow(g, u, algo)).toMap
+    val newRows = srcs.map(u => u -> g.weightedRow(u, algo).toMap).toMap
     val seeds = Revision.sumSeeds(oldRows.view.filterKeys(srcs).toMap, newRows, states, algo.absorbing) ++
       // vertices that joined the graph carry fresh root messages M0
       (if (algo.roots.isEmpty) newVerts.toSeq.map(v => v -> algo.initMsg(v)) else Nil)
@@ -170,7 +161,7 @@ class MinIncSystem(
       }
 
     val adj = g.adjacency(algo)
-    val radj = g.reverseAdjacency(algo)
+    val radj = GraphState.reverse(adj)
     val adjBc = spark.sparkContext.broadcast(adj)
     var total = RunStats(0, classifyActs, 0)
     rounds.foreach { changes =>

@@ -127,7 +127,7 @@ object Layering {
   /** Algorithm-weighted adjacency of the *effective* graph: the raw graph
     * with proxy rewiring applied.
     *
-    * Weights are computed from the RAW out-degree statistics (so PageRank's
+    * Weights are the raw graph's `GraphState.weightedRow` (so PageRank's
     * `d/N_u` is preserved under rewiring), then each edge is routed:
     *
     *  - `h -> t` with an entry proxy `p=(h, sg(t))`: becomes `p -> t` at the
@@ -151,27 +151,23 @@ object Layering {
       acc.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += ((v, w))
     val transparent = mutable.Set.empty[(Long, Long)] // emitted identity links
 
-    g.out.foreach { case (u, outs) =>
-      if (outs.nonEmpty) {
-        val n = outs.size; val sw = outs.valuesIterator.sum
-        val mu = memb.get(u)
-        outs.foreach { case (v, raw) =>
-          val w = algo.edgeWeight(raw, n, sw)
-          val mv = memb.get(v)
-          val viaIn = mv.flatMap { i => if (!mu.contains(i)) repl.inProxy.get((u, i)) else None }
-          viaIn match {
-            case Some(p) =>
-              add(p, v, w)
-              if (transparent.add((u, p))) add(u, p, algo.one)
-            case None =>
-              val viaOut = mu.flatMap { i => if (!mv.contains(i)) repl.outProxy.get((v, i)) else None }
-              viaOut match {
-                case Some(p) =>
-                  add(u, p, w)
-                  if (transparent.add((p, v))) add(p, v, algo.one)
-                case None => add(u, v, w)
-              }
-          }
+    g.out.keysIterator.foreach { u =>
+      val mu = memb.get(u)
+      g.weightedRow(u, algo).foreach { case (v, w) =>
+        val mv = memb.get(v)
+        val viaIn = mv.flatMap { i => if (!mu.contains(i)) repl.inProxy.get((u, i)) else None }
+        viaIn match {
+          case Some(p) =>
+            add(p, v, w)
+            if (transparent.add((u, p))) add(u, p, algo.one)
+          case None =>
+            val viaOut = mu.flatMap { i => if (!mv.contains(i)) repl.outProxy.get((v, i)) else None }
+            viaOut match {
+              case Some(p) =>
+                add(u, p, w)
+                if (transparent.add((p, v))) add(p, v, algo.one)
+              case None => add(u, v, w)
+            }
         }
       }
     }

@@ -1,6 +1,7 @@
 package repro.layph
 
 import scala.collection.mutable
+import scala.reflect.ClassTag
 import org.apache.spark.sql.SparkSession
 import repro.core._
 
@@ -11,14 +12,21 @@ import repro.core._
   * shortcuts) and disjoint lower-layer dense subgraphs L_low. Each
   * incremental round then runs the paper's four phases:
   *
-  *   1. layered graph update  — recompute shortcuts/L of subgraphs hit by
-  *      ΔG, in parallel Spark tasks (Section IV-B);
+  *   1. layered graph update  — deduce or revise shortcuts/L of the
+  *      subgraphs hit by ΔG, in one job of per-subgraph Spark tasks
+  *      (Section IV-B);
   *   2. revision upload       — derive boundary revision messages from the
   *      per-subgraph decomposition (Equation 7);
   *   3. upper iteration       — fixpoint on the skeleton only (Equation 8),
   *      via [[SparkEngine]] (+ dependency-tree invalidation for MinPlus);
   *   4. assignment            — push each entry's accumulated inbox to the
-  *      internal vertices straight through shortcuts (Equation 10).
+  *      internal vertices straight through shortcuts (Equation 10), in one
+  *      job of per-subgraph Spark tasks.
+  *
+  * The offline run is the same path: `initialize` builds the layering,
+  * deduces every shortcut row, and runs phases 2-4 (`propagate`) from an
+  * empty memo — every state at X0, no upper dependency tree, and M0 at
+  * the outlier roots — as the paper's offline phase does (§III).
   *
   * SumTimes skeleton encoding: every skeleton vertex v is split into an
   * inbox node 2v (receives external messages, forwards over cross edges
@@ -50,6 +58,9 @@ final class LayphEngine(
   private var states: mutable.LongMap[Double] = _
   private var skelAdj: Map[Long, Array[(Long, Double)]] = _
   private var upperParents: mutable.LongMap[Long] = _
+
+  /** An effective-edge weight diff (u, v, wOld, wNew). */
+  private type Diff = (Long, Long, Double, Double)
 
   /** One-off layered-graph construction cost (Figure 11b). */
   var offlinePreprocessMs: Long = 0
@@ -116,22 +127,22 @@ final class LayphEngine(
     acc.iterator.map { case (u, b) => (u, b.toArray) }.toMap
   }
 
-  private def reverse(adj: Map[Long, Array[(Long, Double)]]): Map[Long, Array[(Long, Double)]] = {
-    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
-    adj.foreach { case (u, outs) =>
-      outs.foreach { case (v, w) => acc.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((u, w)) }
-    }
-    acc.iterator.map { case (v, b) => (v, b.toArray) }.toMap
-  }
-
   private def skeletonAbsorbing: Set[Long] =
     if (minPlus) algo.absorbing else algo.absorbing.flatMap(v => Seq(inN(v), outN(v)))
+
+  /** Runs `f` on one payload per subgraph as parallel Spark tasks of one
+    * job, and returns the results: the runner of phase 1's shortcut
+    * deduction and of phase 4's assignment.
+    */
+  private def perSubgraph[P: ClassTag, R: ClassTag](payload: Seq[P])(f: P => R): Array[R] =
+    if (payload.isEmpty) Array.empty[R]
+    else sc.parallelize(payload, math.min(math.max(1, partitions), payload.size)).map(f).collect()
 
   // ---------------------------------------------------------------- offline
 
   def initialize(g0: GraphState, a: VCAlgo): SparkRun = {
+    val t0 = System.nanoTime()
     g = g0.copyGraph(); algo = a; minPlus = algo.kind == MinPlus
-    val tDetect0 = System.nanoTime()
 
     // dense subgraph discovery: candidates from Community.detectMap (capped
     // LPA + fragment merge), then Definition 2
@@ -150,94 +161,31 @@ final class LayphEngine(
     effAdj = Layering.effectiveAdjacency(g, algo, memb, repl)
     rolesArr = Layering.roles(effAdj, memb, numSg)
 
-    // subgraph structures
+    // subgraph structures, with every shortcut row and L still empty
     val members = Array.fill(numSg)(mutable.ArrayBuffer.empty[Long])
     memb.foreach { case (v, i) => members(i) += v }
     sgs = Array.tabulate(numSg) { i =>
       val (verts, idx, adj) = Subgraphs.structure(i, members(i).toArray, effAdj, memb)
       val ent = rolesArr(i).entries.toArray.sorted
       val exi = rolesArr(i).exits.toArray.sorted
-      SubgraphData(i, verts, idx, adj, ent, exi,
-        rows = Array.empty, lvec = Array.empty, mHist = Array.fill(ent.length)(0.0))
+      SubgraphData(i, verts, idx, adj, ent, exi, rows = Array.fill(ent.length)(Array.empty[Double]),
+        lvec = Array.empty, mHist = Array.fill(ent.length)(0.0))
     }
-    val tDetectMs = (System.nanoTime() - tDetect0) / 1000000
 
-    // shortcut deduction (Equation 6), one Spark task per subgraph
-    val tRows0 = System.nanoTime()
-    val shortcutActs = recomputeSubgraphData((0 until numSg).map(i => (i, sgs(i).entries.indices.toArray, true)))
-    val tRowsMs = (System.nanoTime() - tRows0) / 1000000
-    offlinePreprocessMs = tDetectMs + tRowsMs
+    // shortcut deduction (Equation 6): every row and L is deduced fresh
+    val shortcutActs = deduceShortcuts(Map.empty)
+    skelAdj = buildSkeleton()
+    offlinePreprocessMs = (System.nanoTime() - t0) / 1000000
 
-    // initial states
+    // phases 2-4 from the empty memo: every state at X0, no upper
+    // dependency tree, and M0 at the outlier roots
     states = mutable.LongMap.empty[Double]
     g.vertices.foreach(v => states(v) = algo.defaultState)
     repl.proxies.foreach(p => states(p.id) = algo.defaultState)
-
-    skelAdj = buildSkeleton()
-    val tUpper0 = System.nanoTime()
-    val upperStats: RunStats =
-      if (minPlus) {
-        val skelV = skeletonVerts
-        val sub = mutable.LongMap.empty[Double]
-        skelV.foreach(v => sub(v) = algo.defaultState)
-        val seeds = algo.roots.get.toSeq.map(v => v -> algo.initMsg(v))
-        val adjBc = sc.broadcast(skelAdj)
-        val run = engine.run(algo, adjBc, sub, seeds, absorbing = algo.absorbing)
-        adjBc.destroy()
-        run.states.foreach { case (v, x) => states(v) = x }
-        upperParents = MemoPath.computeParents(reverse(skelAdj), run.states)
-        (0 until numSg).foreach { i =>
-          val sg = sgs(i)
-          sg.entries.indices.foreach(k => sg.mHist(k) = states.getOrElse(sg.entries(k), algo.defaultState))
-        }
-        run.stats
-      } else {
-        val skelV = skeletonVerts
-        val sub = mutable.LongMap.empty[Double]
-        skelV.foreach { v => sub(inN(v)) = 0.0; sub(outN(v)) = 0.0 }
-        val seeds = mutable.ArrayBuffer.empty[(Long, Double)]
-        // outliers seed their own M0 on the inbox node; boundary vertices
-        // upload their local contribution L on the interior node (Eq. 7)
-        skelV.foreach { v =>
-          memb.get(v) match {
-            case None =>
-              val isRoot = algo.roots.forall(_.contains(v))
-              if (isRoot) seeds += ((inN(v), algo.initMsg(v)))
-            case Some(i) =>
-              val l = sgs(i).lvec(sgs(i).idx(v))
-              if (l != 0.0) seeds += ((outN(v), l))
-          }
-        }
-        val adjBc = sc.broadcast(skelAdj)
-        val run = engine.run(algo, adjBc, sub, seeds, absorbing = skeletonAbsorbing)
-        adjBc.destroy()
-        skelV.foreach { v =>
-          states(v) = run.states.getOrElse(inN(v), 0.0) + run.states.getOrElse(outN(v), 0.0)
-        }
-        algo.absorbing.foreach(v => states(v) = algo.initMsg(v))
-        (0 until numSg).foreach { i =>
-          val sg = sgs(i)
-          sg.entries.indices.foreach(k => sg.mHist(k) = run.states.getOrElse(inN(sg.entries(k)), 0.0))
-        }
-        run.stats
-      }
-    val tUpperMs = (System.nanoTime() - tUpper0) / 1000000
-
-    // assignment of all subgraphs (Equation 10)
-    val tAssign0 = System.nanoTime()
-    val assignActs = runAssignment((0 until numSg).map { i =>
-      val sg = sgs(i)
-      i -> (sg.mHist.clone(), Array.fill(sg.entries.length)(0.0), true)
-    }.toMap)
-    val tAssignMs = (System.nanoTime() - tAssign0) / 1000000
-
-    lastPhases = Seq(
-      "layered_construction" -> (tDetectMs + tRowsMs),
-      "upper_iteration" -> tUpperMs,
-      "assignment" -> tAssignMs)
-    SparkRun(resultStates,
-      RunStats(upperStats.iterations, upperStats.activations + shortcutActs + assignActs,
-        tDetectMs + tRowsMs + tUpperMs + tAssignMs, lastPhases))
+    upperParents = mutable.LongMap.empty[Long]
+    propagate(t0, "layered_construction" -> offlinePreprocessMs, shortcutActs,
+      affected = (0 until numSg).toSet, crossDiffs = Nil, oldRowsBySg = Map.empty,
+      newBoundary = Set.empty, fresh = g.vertices)
   }
 
   // ------------------------------------------------------------ incremental
@@ -269,7 +217,7 @@ final class LayphEngine(
     effAdj = Layering.effectiveAdjacency(g, algo, memb, repl)
 
     // effective weighted diffs per touched source
-    val diffs = mutable.ArrayBuffer.empty[(Long, Long, Double, Double)] // u, v, wOld (0/inf if none), wNew
+    val diffs = mutable.ArrayBuffer.empty[Diff]
     val noW = if (minPlus) Double.PositiveInfinity else 0.0
     effective.map(_.src).distinct.flatMap(effSources).distinct.foreach { u =>
       val o = oldRows.getOrElse(u, Map.empty)
@@ -280,61 +228,80 @@ final class LayphEngine(
       }
     }
 
-    val affected = mutable.Set.empty[Int]
-    val crossDiffs = mutable.ArrayBuffer.empty[(Long, Long, Double, Double)]
-    val sgChanges = mutable.Map.empty[Int, mutable.ArrayBuffer[(Long, Long, Double, Double)]]
+    // a subgraph with a diff inside E_i is affected
+    val crossDiffs = mutable.ArrayBuffer.empty[Diff]
+    val sgChanges = mutable.Map.empty[Int, mutable.ArrayBuffer[Diff]]
     diffs.foreach { case d @ (u, v, _, _) =>
-      if (sameSg(u, v)) {
-        val i = memb(u)
-        affected += i
-        sgChanges.getOrElseUpdate(i, mutable.ArrayBuffer.empty) += d
-      } else crossDiffs += d
+      if (sameSg(u, v)) sgChanges.getOrElseUpdate(memb(u), mutable.ArrayBuffer.empty) += d
+      else crossDiffs += d
     }
 
-    // role growth (monotone): new entries need shortcut rows; new exits and
-    // new entries gain skeleton shortcut links after the rebuild
+    // role growth (monotone): new entries get empty shortcut rows, deduced
+    // below; new exits and new entries gain skeleton shortcut links after
+    // the rebuild
     val newRoles = Layering.roles(effAdj, memb, numSg)
-    val newBoundary = mutable.Map.empty[Int, Set[Long]]
-    val rowTasks = mutable.ArrayBuffer.empty[(Int, Array[Int], Boolean)]
+    val newBoundary = mutable.Set.empty[Long]
     (0 until numSg).foreach { i =>
       val addEnt = newRoles(i).entries -- rolesArr(i).entries
       val addExi = newRoles(i).exits -- rolesArr(i).exits
       if (addEnt.nonEmpty || addExi.nonEmpty) {
-        newBoundary(i) = (addEnt ++ addExi) -- rolesArr(i).boundary
+        newBoundary ++= (addEnt ++ addExi) -- rolesArr(i).boundary
         rolesArr(i) = Roles(rolesArr(i).entries ++ addEnt, rolesArr(i).exits ++ addExi)
         val sg = sgs(i)
-        val keep = sg.entries.length
-        val entries2 = sg.entries ++ addEnt.toArray.sorted
         sgs(i) = sg.copy(
-          entries = entries2,
+          entries = sg.entries ++ addEnt.toArray.sorted,
           exits = (sg.exits ++ addExi).distinct.sorted,
           rows = sg.rows ++ Array.fill(addEnt.size)(Array.empty[Double]),
           mHist = sg.mHist ++ Array.fill(addEnt.size)(0.0))
-        if (addEnt.nonEmpty && !affected.contains(i))
-          rowTasks += ((i, (keep until entries2.length).toArray, false))
       }
     }
     // affected subgraphs: refresh structure, then revise the memoized rows
     // incrementally against the local edge diffs (Section IV-B)
-    affected.foreach { i =>
+    sgChanges.keysIterator.foreach { i =>
       val sg = sgs(i)
       val (verts, idx, adj) = Subgraphs.structure(i, sg.verts, effAdj, memb)
       sgs(i) = sg.copy(verts = verts, idx = idx, adj = adj)
     }
-    val oldRowsBySg: Map[Int, (Array[Long], Array[Array[Double]], Map[Long, Int])] =
-      affected.iterator.map(i => i -> ((sgs(i).entries, sgs(i).rows, sgs(i).idx))).toMap
-    val shortcutActs = recomputeSubgraphData(rowTasks.toSeq) +
-      updateSubgraphDataIncremental(affected.toSeq.sorted,
-        sgChanges.view.mapValues(_.toArray).toMap)
-    val oldSkel = skelAdj
+    val oldRowsBySg = sgChanges.keysIterator.map(i => i -> ((sgs(i).entries, sgs(i).rows, sgs(i).idx))).toMap
+    val shortcutActs = deduceShortcuts(sgChanges.view.mapValues(_.toArray).toMap)
     skelAdj = buildSkeleton()
     val tAMs = (System.nanoTime() - tA0) / 1000000
 
+    propagate(t0, "layer_update" -> tAMs, shortcutActs, sgChanges.keySet.toSet, crossDiffs.toSeq,
+      oldRowsBySg, newBoundary.toSet, newVerts)
+  }
+
+  /** Phases 2-4 (upload, upper iteration, assignment) over the layered
+    * graph that phase 1 left in place; records `lastPhases`.
+    *
+    * @param phase1      name and wall ms of the phase that built the layers
+    * @param affected    subgraphs whose E_i changed: their boundary states
+    *                    are re-uploaded and they are assigned in full
+    * @param crossDiffs  effective cross-edge diffs (u, v, wOld, wNew); the
+    *                    no-edge weight is the semiring zero-weight
+    * @param oldRowsBySg (entries, rows, idx) of the subgraphs whose MinPlus
+    *                    shortcut diffs are uploaded, as before phase 1
+    * @param newBoundary vertices that joined a subgraph's boundary in phase 1
+    * @param fresh       vertices new to the memo; the outlier roots among
+    *                    them carry M0
+    */
+  private def propagate(
+      t0: Long,
+      phase1: (String, Long),
+      shortcutActs: Long,
+      affected: Set[Int],
+      crossDiffs: Seq[Diff],
+      oldRowsBySg: Map[Int, (Array[Long], Array[Array[Double]], Map[Long, Int])],
+      newBoundary: Set[Long],
+      fresh: Iterable[Long],
+  ): SparkRun = {
     // ---- phases 2+3: upload + upper-layer iteration -----------------------
     val tB0 = System.nanoTime()
+    val m0 = fresh.iterator.filter(v => !memb.contains(v) && algo.roots.forall(_.contains(v)))
+      .map(v => v -> algo.initMsg(v)).toSeq
     var uploadActs = 0L
     var upperStats = RunStats(0, 0, 0)
-    var deltaM: Map[Int, Array[Double]] = Map.empty
+    var deltaM: Array[Array[Double]] = Array.empty
     var tBMs = 0L
     var tCMs = 0L
 
@@ -345,9 +312,8 @@ final class LayphEngine(
         if (wn.isFinite) changes += MemoPath.EdgeChange(u, v, wn, isAdd = true)
       }
       // shortcut weight diffs of affected subgraphs (upload, Eq. 7)
-      affected.foreach { i =>
+      oldRowsBySg.foreach { case (i, (oldEnt, oldR, oldIdx)) =>
         val sg = sgs(i)
-        val (oldEnt, oldR, oldIdx) = oldRowsBySg(i)
         val bnd = boundaryOf(i)
         sg.entries.indices.foreach { k =>
           val e = sg.entries(k)
@@ -367,45 +333,41 @@ final class LayphEngine(
           }
         }
       }
-      // vertices promoted to the boundary this round are not in the upper
-      // dependency tree yet, so subtree invalidation cannot reach them —
-      // re-derive their states from scratch (pulls see the new shortcut
-      // in-edges, so in-subgraph support is recovered)
-      val extraInvalid = newBoundary.valuesIterator.flatten.toSet
       tBMs = (System.nanoTime() - tB0) / 1000000
 
       val tC0 = System.nanoTime()
       val skelV = skeletonVerts
       val sub = mutable.LongMap.empty[Double]
       skelV.foreach(v => sub(v) = states.getOrElse(v, algo.defaultState))
-      val skelRadj = reverse(skelAdj)
       val adjBc = sc.broadcast(skelAdj)
       val entryOld = mutable.LongMap.empty[Double]
       (0 until numSg).foreach { i =>
         sgs(i).entries.foreach(e => entryOld(e) = sub.getOrElse(e, algo.defaultState))
       }
-      val r = MemoPath.incremental(algo, engine, skelAdj, adjBc, skelRadj, sub, upperParents,
-        changes.toSeq, extraInvalid = extraInvalid)
+      // vertices promoted to the boundary this round are not in the upper
+      // dependency tree yet, so subtree invalidation cannot reach them —
+      // re-derive their states from scratch (pulls see the new shortcut
+      // in-edges, so in-subgraph support is recovered)
+      val r = MemoPath.incremental(algo, engine, skelAdj, adjBc, GraphState.reverse(skelAdj), sub,
+        upperParents, changes.toSeq, extraInvalid = newBoundary, extraSeeds = m0)
       adjBc.destroy()
       upperParents = r.parents
       r.states.foreach { case (v, x) => states(v) = x }
       upperStats = r.stats
-      deltaM = (0 until numSg).iterator.map { i =>
-        val sg = sgs(i)
-        val dm = Array.tabulate(sg.entries.length) { k =>
+      deltaM = sgs.map { sg =>
+        Array.tabulate(sg.entries.length) { k =>
           val e = sg.entries(k)
           val now = states.getOrElse(e, algo.defaultState)
           sg.mHist(k) = now // MinPlus inbox == converged entry state
           if (now != entryOld.getOrElse(e, algo.defaultState)) 1.0 else 0.0
         }
-        i -> dm
-      }.toMap
+      }
       tCMs = (System.nanoTime() - tC0) / 1000000
     } else {
-      // upload: boundary revision deltas from the decomposition (Eq. 7)
+      // upload: outlier roots seed M0 on their inbox node; boundary vertices
+      // upload the change of their decomposition on the interior node (Eq. 7)
       val seeds = mutable.ArrayBuffer.empty[(Long, Double)]
-      // vertices that joined the graph carry fresh root messages M0
-      if (algo.roots.isEmpty) newVerts.foreach(v => seeds += ((inN(v), algo.initMsg(v))))
+      m0.foreach { case (v, m) => seeds += ((inN(v), m)) }
       crossDiffs.foreach { case (u, v, wo, wn) =>
         if (!algo.absorbing.contains(v)) {
           val xu = states.getOrElse(u, 0.0)
@@ -435,35 +397,41 @@ final class LayphEngine(
       val run = engine.run(algo, adjBc, sub, seeds.toSeq, absorbing = skeletonAbsorbing)
       adjBc.destroy()
       upperStats = run.stats
+      // an absorbing vertex receives nothing but its own M0 seed, so PHP's
+      // root is pinned at M0 offline and left as it is by every update
       skelV.foreach { v =>
         val d = run.states.getOrElse(inN(v), 0.0) + run.states.getOrElse(outN(v), 0.0)
-        if (d != 0.0 && !algo.absorbing.contains(v))
-          states(v) = states.getOrElse(v, 0.0) + d
+        if (d != 0.0) states(v) = states.getOrElse(v, 0.0) + d
       }
-      deltaM = (0 until numSg).iterator.map { i =>
-        val sg = sgs(i)
-        val dm = Array.tabulate(sg.entries.length)(k => run.states.getOrElse(inN(sg.entries(k)), 0.0))
-        i -> dm
-      }.toMap
+      deltaM = sgs.map(sg => sg.entries.map(e => run.states.getOrElse(inN(e), 0.0)))
       tCMs = (System.nanoTime() - tC0) / 1000000
     }
 
-    // ---- phase 4: assignment ---------------------------------------------
+    // ---- phase 4: assignment (Equation 10) --------------------------------
     val tD0 = System.nanoTime()
-    val trigger = (0 until numSg).flatMap { i =>
+    val a = algo
+    val payload = (0 until numSg).flatMap { i =>
       val sg = sgs(i)
-      val dm = deltaM.getOrElse(i, Array.fill(sg.entries.length)(0.0))
+      val dm = deltaM(i)
       if (!minPlus) sg.entries.indices.foreach(k => sg.mHist(k) += dm(k))
       val isAff = affected.contains(i)
-      val hasDm = dm.exists(d => math.abs(d) > (if (minPlus) 0.0 else algo.eps / 10))
-      if (isAff || hasDm) Some(i -> ((sg.mHist.clone(), dm, isAff))) else None
-    }.toMap
-    val assignActs = runAssignment(trigger)
+      if (isAff || dm.exists(d => math.abs(d) > (if (minPlus) 0.0 else algo.eps / 10))) {
+        val bnd = rolesArr(i).boundary
+        val internal = sg.verts.indices.filter(j => !bnd.contains(sg.verts(j))).toArray
+        val cur = internal.map(j => states.getOrElse(sg.verts(j), algo.defaultState))
+        Some((sg, internal, sg.mHist.clone(), dm, isAff, cur))
+      } else None
+    }
+    var assignActs = 0L
+    perSubgraph(payload) { case (sg, internal, mNew, dm, aff, cur) =>
+      Subgraphs.assignInternal(a, sg, internal, mNew, dm, aff, cur)
+    }.foreach { case (updates, ac) =>
+      assignActs += ac
+      updates.foreach { case (v, x) => states(v) = x }
+    }
     val tDMs = (System.nanoTime() - tD0) / 1000000
 
-    lastPhases = Seq(
-      "layer_update" -> tAMs, "upload" -> tBMs,
-      "upper_iteration" -> tCMs, "assignment" -> tDMs)
+    lastPhases = Seq(phase1, "upload" -> tBMs, "upper_iteration" -> tCMs, "assignment" -> tDMs)
     SparkRun(resultStates,
       RunStats(upperStats.iterations,
         shortcutActs + uploadActs + upperStats.activations + assignActs,
@@ -472,104 +440,40 @@ final class LayphEngine(
 
   // ------------------------------------------------------------------ parts
 
-  /** Runs shortcut/L computation for the given (sgId, entryRowIdxs, needL)
-    * tasks as parallel Spark tasks, stores results, returns activations.
+  /** Phase 1's shortcut work, as one job of per-subgraph tasks: a subgraph
+    * with local edge diffs revises every row and L against them (Section
+    * IV-B); any other subgraph deduces only its empty rows (new entries,
+    * or every entry offline) and an empty L. Stores the results and
+    * returns the activations spent.
     */
-  private def recomputeSubgraphData(tasks: Seq[(Int, Array[Int], Boolean)]): Long = {
-    if (tasks.isEmpty) return 0L
+  private def deduceShortcuts(changesBySg: Map[Int, Array[Diff]]): Long = {
     val a = algo
-    val everyVertexRoots = algo.roots.isEmpty
-    val payload = tasks.map { case (i, ks, needL) =>
+    val payload = (0 until numSg).flatMap { i =>
       val sg = sgs(i)
-      // proxies are phantoms: they never carry root messages M0
-      val m0vec =
-        if (needL && everyVertexRoots)
-          sg.verts.map(v => if (repl.isProxy(v)) 0.0 else algo.initMsg(v))
-        else Array.empty[Double]
-      (i, sg.adj, ks.map(k => sg.idx(sg.entries(k))), ks, needL, m0vec)
-    }
-    val results = sc.parallelize(payload, math.min(math.max(1, partitions), payload.size))
-      .map { case (i, adj, entryIdxs, ks, needL, m0vec) =>
-        val (rows, lvec, acts) = Subgraphs.computeRowsAndL(a, adj, entryIdxs, m0vec)
-        (i, ks, rows, if (needL) Some(lvec) else None, acts)
+      val changes = changesBySg.get(i)
+      val ks = sg.entries.indices.filter(k => changes.isDefined || sg.rows(k).isEmpty).toArray
+      if (ks.isEmpty && changes.isEmpty && sg.lvec.nonEmpty) None
+      else {
+        // proxies are phantoms: they never carry root messages M0
+        val m0vec =
+          if (a.roots.isEmpty) sg.verts.map(v => if (repl.isProxy(v)) 0.0 else a.initMsg(v))
+          else Array.empty[Double]
+        val local = changes.getOrElse(Array.empty).collect {
+          case (u, v, wo, wn) if sg.idx.contains(u) && sg.idx.contains(v) => (sg.idx(u), sg.idx(v), wo, wn)
+        }
+        Some((i, ks, sg.adj, ks.map(k => sg.idx(sg.entries(k))), ks.map(sg.rows), sg.lvec, local, m0vec))
       }
-      .collect()
+    }
     var acts = 0L
-    results.foreach { case (i, ks, rows, lvecOpt, ac) =>
+    perSubgraph(payload) { case (i, ks, adj, entryIdxs, rows, lvec, local, m0vec) =>
+      val (r, l, ac) = Subgraphs.deduce(a, adj, entryIdxs, rows, lvec, local, m0vec)
+      (i, ks, r, l, ac)
+    }.foreach { case (i, ks, rows, lvec, ac) =>
       acts += ac
       val sg = sgs(i)
-      val newRows = if (sg.rows.length == sg.entries.length) sg.rows.clone()
-        else Array.fill(sg.entries.length)(Array.empty[Double])
-      ks.zipWithIndex.foreach { case (k, x) => newRows(k) = rows(x) }
-      sgs(i) = sg.copy(rows = newRows, lvec = lvecOpt.getOrElse(
-        if (sg.lvec.nonEmpty) sg.lvec
-        else Array.fill(sg.verts.length)(if (minPlus) algo.defaultState else 0.0)))
-    }
-    acts
-  }
-
-  /** Revises rows/L of the given subgraphs against their local edge diffs
-    * (incremental shortcut update, Section IV-B), as parallel Spark tasks.
-    * Brand-new entries (empty memoized rows) are deduced fresh inside the
-    * same task. Returns activations spent.
-    */
-  private def updateSubgraphDataIncremental(
-      ids: Seq[Int],
-      changesBySg: Map[Int, Array[(Long, Long, Double, Double)]],
-  ): Long = {
-    if (ids.isEmpty) return 0L
-    val a = algo
-    val everyVertexRoots = algo.roots.isEmpty
-    val payload = ids.map { i =>
-      val sg = sgs(i)
-      val m0vec =
-        if (everyVertexRoots) sg.verts.map(v => if (repl.isProxy(v)) 0.0 else a.initMsg(v))
-        else Array.empty[Double]
-      val localChanges = changesBySg.getOrElse(i, Array.empty).collect {
-        case (u, v, wo, wn) if sg.idx.contains(u) && sg.idx.contains(v) =>
-          (sg.idx(u), sg.idx(v), wo, wn)
-      }
-      val rows = if (sg.rows.length == sg.entries.length) sg.rows
-        else Array.fill(sg.entries.length)(Array.empty[Double])
-      val lvec = if (sg.lvec.nonEmpty) sg.lvec
-        else Array.fill(sg.verts.length)(if (minPlus) a.defaultState else 0.0)
-      (i, sg.adj, sg.entries.map(sg.idx), rows, lvec, localChanges, m0vec)
-    }
-    val results = sc.parallelize(payload, math.min(math.max(1, partitions), payload.size))
-      .map { case (i, adj, entryIdxs, rows, lvec, localChanges, m0vec) =>
-        val (r2, l2, acts) = Subgraphs.updateRowsAndL(a, adj, entryIdxs, rows, lvec, localChanges, m0vec)
-        (i, r2, l2, acts)
-      }
-      .collect()
-    var acts = 0L
-    results.foreach { case (i, rows, lvec, ac) =>
-      acts += ac
-      sgs(i) = sgs(i).copy(rows = rows, lvec = lvec)
-    }
-    acts
-  }
-
-  /** Parallel assignment; returns activations spent. */
-  private def runAssignment(trigger: Map[Int, (Array[Double], Array[Double], Boolean)]): Long = {
-    if (trigger.isEmpty) return 0L
-    val a = algo
-    val payload = trigger.toSeq.map { case (i, (mNew, dm, aff)) =>
-      val sg = sgs(i)
-      val internal = sg.verts.indices.filter { j =>
-        !rolesArr(i).boundary.contains(sg.verts(j))
-      }.toArray
-      val cur = internal.map(j => states.getOrElse(sg.verts(j), a.defaultState))
-      (sg, internal, mNew, dm, aff, cur)
-    }
-    val results = sc.parallelize(payload, math.min(math.max(1, partitions), payload.size))
-      .map { case (sg, internal, mNew, dm, aff, cur) =>
-        Subgraphs.assignInternal(a, sg, internal, mNew, dm, aff, cur)
-      }
-      .collect()
-    var acts = 0L
-    results.foreach { case (updates, ac) =>
-      acts += ac
-      updates.foreach { case (v, x) => states(v) = x }
+      val newRows = sg.rows.clone()
+      ks.indices.foreach(x => newRows(ks(x)) = rows(x))
+      sgs(i) = sg.copy(rows = newRows, lvec = lvec)
     }
     acts
   }
@@ -581,11 +485,19 @@ final class LayphEngine(
     out
   }
 
-  /** Upper-layer size (vertices, edges incl. shortcuts) — Figure 8a. */
+  /** Upper-layer size (vertices, edges incl. shortcuts) — Figure 8a. For
+    * SumTimes the split nodes carry each cross edge twice (from the inbox
+    * and the interior node) and a returning-mass link per entry; it counts
+    * what MinPlus counts: each cross edge once and each `b != e` shortcut
+    * `inN(e) -> outN(b)` once.
+    */
   def upperLayerSize: (Int, Long) = {
-    val nV = skeletonVerts.size
-    val nE = skelAdj.valuesIterator.map(_.length.toLong).sum
-    (nV, if (minPlus) nE else nE / 2) // split nodes double-count sum edges
+    val nE =
+      if (minPlus) skelAdj.valuesIterator.map(_.length.toLong).sum
+      else skelAdj.iterator.collect { case (u, outs) if u % 2 == 0 =>
+        outs.count { case (v, _) => v != u + 1 }.toLong
+      }.sum
+    (skeletonVerts.size, nE)
   }
 
   def subgraphStats: Seq[(Int, Int, Int, Int)] =

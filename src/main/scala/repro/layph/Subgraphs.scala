@@ -28,11 +28,7 @@ final case class SubgraphData(
     rows: Array[Array[Double]],         // rows(k)(j): shortcut entries(k) -> verts(j)
     lvec: Array[Double],                // L(j)
     mHist: Array[Double],               // accumulated external inbox per entry k
-) {
-  def entryIndex(e: Long): Int = entries.indexOf(e)
-  def internals(roleEntries: Set[Long], roleExits: Set[Long]): Array[Long] =
-    verts.filterNot(v => roleEntries.contains(v) || roleExits.contains(v))
-}
+)
 
 object Subgraphs {
 
@@ -56,50 +52,16 @@ object Subgraphs {
     (verts, idx, adj)
   }
 
-  /** Shortcut rows (Equation 6) and the local root-mass vector L, both by
-    * local iterative computation with [[LocalEngine]]. Pure function of the
-    * subgraph structure — it is what executors run in parallel, and what
-    * "layered graph update" recomputes for subgraphs hit by ΔG.
+  /** Shortcut rows (Equation 6) and the local root-mass vector L of one
+    * subgraph, by local iterative computation with [[LocalEngine]]. Pure
+    * function of the subgraph structure and its memo — it is what executors
+    * run in parallel, offline for every subgraph and in "layered graph
+    * update" for the subgraphs hit by ΔG.
     *
-    * @param m0vec per-local-vertex root message M0 (PageRank's 1-d for real
-    *              vertices, 0 for proxies — phantoms carry no mass); empty
-    *              when no subgraph member roots (MinPlus, PHP)
-    * @return      (rows, lvec, edge activations spent)
-    */
-  def computeRowsAndL(
-      algo: VCAlgo,
-      adj: Array[Array[(Int, Double)]],
-      entryIdxs: Array[Int],
-      m0vec: Array[Double],
-  ): (Array[Array[Double]], Array[Double], Long) = {
-    val n = adj.length
-    val longAdj: Array[Array[(Long, Double)]] =
-      adj.map(_.map { case (t, w) => (t.toLong, w) })
-    val lookup: Long => Array[(Long, Double)] = v => longAdj(v.toInt)
-    var acts = 0L
-
-    val rows = entryIdxs.map { e =>
-      val states = mutable.LongMap.empty[Double]
-      val run = LocalEngine.run(algo, lookup, states, Seq(e.toLong -> algo.one))
-      acts += run.stats.activations
-      Array.tabulate(n)(j => states.getOrElse(j.toLong, if (algo.kind == MinPlus) algo.defaultState else 0.0))
-    }
-
-    val lvec =
-      if (algo.kind == MinPlus || m0vec.isEmpty) Array.fill(n)(algo.defaultState)
-      else {
-        val states = mutable.LongMap.empty[Double]
-        val seeds = (0 until n).collect { case j if m0vec(j) != 0.0 => j.toLong -> m0vec(j) }
-        val run = LocalEngine.run(algo, lookup, states, seeds)
-        acts += run.stats.activations
-        Array.tabulate(n)(j => states.getOrElse(j.toLong, 0.0))
-      }
-    (rows, lvec, acts)
-  }
-
-  /** Incremental shortcut/L update (Section IV-B, "weight update"): instead
-    * of rebuilding every row from scratch, revise each memoized row against
-    * the subgraph's local edge changes.
+    * An empty memoized row (a new entry, or every entry offline) or an
+    * empty L is deduced fresh from the unit message (resp. M0). A memoized
+    * one is revised against the subgraph's local edge changes (Section
+    * IV-B, "weight update") instead of rebuilt:
     *
     *  - SumTimes rows (and L) are linear in the messages, so the exact
     *    revision is a local delta propagation seeded with
@@ -113,12 +75,17 @@ object Subgraphs {
     * proportional to the change, not to the subgraph count (the paper's
     * Figure 6 behaviour).
     *
+    * @param oldRows memoized row per entry of `entryIdxs`, empty to deduce it
+    * @param oldL    memoized L, empty to deduce it
     * @param changes local-index edge diffs (u, v, wOld, wNew) with the
     *                no-edge weight being the semiring zero-weight
     *                (+inf for MinPlus, 0 for SumTimes)
-    * @return (new rows, new lvec, activations)
+    * @param m0vec   per-local-vertex root message M0 (PageRank's 1-d for real
+    *                vertices, 0 for proxies — phantoms carry no mass); empty
+    *                when no subgraph member roots (MinPlus, PHP)
+    * @return        (rows, lvec, edge activations spent)
     */
-  def updateRowsAndL(
+  def deduce(
       algo: VCAlgo,
       adj: Array[Array[(Int, Double)]],
       entryIdxs: Array[Int],
@@ -218,18 +185,20 @@ object Subgraphs {
       }
     }
 
+    def fresh(seeds: Seq[(Long, Double)]): Array[Double] = {
+      val states = mutable.LongMap.empty[Double]
+      acts += LocalEngine.run(algo, lookup, states, seeds).stats.activations
+      Array.tabulate(n)(j => states.getOrElse(j.toLong, algo.defaultState))
+    }
+
     val rows = entryIdxs.indices.map { k =>
-      if (oldRows(k).isEmpty) {
-        // a brand-new entry has no memoized row yet — deduce it fresh
-        val states = mutable.LongMap.empty[Double]
-        val run = LocalEngine.run(algo, lookup, states, Seq(entryIdxs(k).toLong -> algo.one))
-        acts += run.stats.activations
-        Array.tabulate(n)(j => states.getOrElse(j.toLong, if (minPlus) algo.defaultState else 0.0))
-      } else reviseVector(oldRows(k), entryIdxs(k))
+      if (oldRows(k).isEmpty) fresh(Seq(entryIdxs(k).toLong -> algo.one))
+      else reviseVector(oldRows(k), entryIdxs(k))
     }.toArray
 
     val lvec =
       if (minPlus || m0vec.isEmpty) Array.fill(n)(algo.defaultState)
+      else if (oldL.isEmpty) fresh((0 until n).collect { case j if m0vec(j) != 0.0 => j.toLong -> m0vec(j) })
       else reviseVector(oldL, -1)
     (rows, lvec, acts)
   }

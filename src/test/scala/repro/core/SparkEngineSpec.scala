@@ -47,14 +47,14 @@ class SparkEngineSpec extends SparkSpec {
     val states = LocalEngine.batch(algo, g).states
     val delta = GraphGen.delta(g, 10, if (algo.selective) 0 else 10, seed)
     val srcs = delta.updates.map(_.src).distinct
-    val oldRows = srcs.map(u => u -> Revision.weightedRow(g, u, algo)).toMap
+    val oldRows = srcs.map(u => u -> g.weightedRow(u, algo).toMap).toMap
     val effective = g.applyDelta(delta)
     val seeds = algo.kind match {
       case MinPlus =>
         effective.filter(u => u.isAdd && states(u.src).isFinite)
           .map(u => u.dst -> algo.gen(states(u.src), algo.edgeWeight(u.w, 1, u.w)))
       case SumTimes =>
-        Revision.sumSeeds(oldRows, srcs.map(u => u -> Revision.weightedRow(g, u, algo)).toMap,
+        Revision.sumSeeds(oldRows, srcs.map(u => u -> g.weightedRow(u, algo).toMap).toMap,
           states, algo.absorbing)
     }
     assert(seeds.nonEmpty && states.valuesIterator.exists(x => x.isFinite && x != 0.0))

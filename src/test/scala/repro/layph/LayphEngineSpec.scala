@@ -1,5 +1,7 @@
 package repro.layph
 
+import scala.collection.mutable
+import org.apache.spark.scheduler._
 import repro.SparkSpec
 import repro.TestUtil.assertClose
 import repro.core._
@@ -106,6 +108,81 @@ class LayphEngineSpec extends SparkSpec {
     val (nv, ne) = sys.upperLayerSize
     assert(nv < g.numVertices, s"skeleton $nv vs ${g.numVertices}")
     assert(sys.subgraphStats.nonEmpty)
+  }
+
+  test("SumTimes and MinPlus report the same upper layer for the same layering") {
+    // both algorithms protect vertex 0, so membership and roles match
+    val g = graph(777)
+    val sizes = Seq[VCAlgo](SSSP(0), PHP(0, eps = 1e-12)).map { algo =>
+      val sys = new LayphEngine(spark, plantedCfg, 4)
+      sys.initialize(g, algo)
+      sys.upperLayerSize
+    }
+    assert(sizes.head == sizes(1), s"(|V|, |E|) of SSSP vs PHP: $sizes")
+  }
+
+  /** Layer of each Spark job that `body` launches, in launch order: the
+    * source file of the first `repro` frame of its call site.
+    */
+  private def jobLayersOf[A](body: => A): (A, Seq[String]) = {
+    val sc = spark.sparkContext
+    val frame = """repro\.[\w.$]+\((\w+)\.scala:\d+\)""".r
+    val layers = mutable.ArrayBuffer.empty[String]
+    val markerDone = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
+          case "job-shape" =>
+            val site = e.stageInfos.maxBy(_.stageId).details
+            layers += frame.findFirstMatchIn(site).map(_.group(1)).getOrElse("other")
+          case "job-shape-marker" => markerDone.countDown()
+          case _ =>
+        }
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("job-shape", "Layph job shape")
+      val a = try body finally sc.clearJobGroup()
+      sc.setJobGroup("job-shape-marker", "listener flush")
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+      assert(markerDone.await(30, java.util.concurrent.TimeUnit.SECONDS), "listener bus did not drain")
+      listener.synchronized((a, layers.toList))
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("an update launches at most one per-subgraph job in layer_update and one in assignment") {
+    val g = graph(424)
+    val algo = SSSP(0)
+    val cfg = plantedCfg.copy(useReplication = false)
+    // the engine's layering, rebuilt with the same public calls
+    val memb = Layering.selectDense(g, cfg.fixedMembership.get, cfg, Set(0L))
+    val numSg = memb.values.max + 1
+    val roles = Layering.roles(Layering.effectiveAdjacency(g, algo, memb, Replication.none), memb, numSg)
+    assert(numSg >= 2)
+    // subgraph 0 gains an entry: an edge from the root into one of its
+    // internal vertices; subgraph 1 loses one of its internal edges
+    val internal = memb.keys.toSeq.sorted
+      .find(v => memb(v) == 0 && !roles(0).boundary.contains(v) && !g.hasEdge(0, v)).get
+    val inner = g.edges.toSeq.sortBy(e => (e.src, e.dst))
+      .find(e => memb.get(e.src).contains(1) && memb.get(e.dst).contains(1)).get
+    val delta = GraphDelta(Seq(
+      EdgeUpdate(0, internal, 0.5, isAdd = true),
+      EdgeUpdate(inner.src, inner.dst, 0.0, isAdd = false)))
+
+    val sys = new LayphEngine(spark, cfg, 4)
+    sys.initialize(g, algo)
+    val (run, layers) = jobLayersOf(sys.update(delta))
+    g.applyDelta(delta)
+    assertClose(LocalEngine.batch(algo, g).states, run.states, 1e-9, "job-shape update")
+
+    val upper = layers.indices.filter(layers(_) == "SparkEngine")
+    val perSg = layers.indices.filter(layers(_) == "LayphEngine")
+    assert(upper.nonEmpty, s"no upper-layer round: $layers")
+    assert(perSg.forall(j => j < upper.min || j > upper.max), s"per-subgraph job amid the upper iteration: $layers")
+    val (layerUpdate, assignment) = perSg.partition(_ < upper.min)
+    assert(layerUpdate.size == 1, s"per-subgraph jobs in layer_update: $layers")
+    assert(assignment.size <= 1, s"per-subgraph jobs in assignment: $layers")
   }
 
   test("localized update activates fewer edges than Ingress") {
