@@ -4,8 +4,9 @@ import scala.collection.mutable
 
 /** The two halves of one BSP round of the accumulative model (Equation 1),
   * shared by [[LocalEngine]] and [[SparkEngine]] so that both engines run
-  * the same schedule. They differ only in where [[propagate]] runs: inline
-  * in `LocalEngine`, inside executor tasks in `SparkEngine`.
+  * the same schedule over the same flat [[Adjacency]]. They differ only in
+  * where [[propagate]] runs: inline in `LocalEngine`, inside executor tasks
+  * over the broadcast adjacency in `SparkEngine`.
   */
 object Bsp {
 
@@ -35,26 +36,30 @@ object Bsp {
       if (math.abs(m) >= thr) m else algo.zero
     }
 
-  /** F then G: sends `emit` over the out-edges `out` (null for none),
-    * drops messages towards absorbing vertices (PHP kills walks re-entering
-    * the root), and G-combines the rest per destination into `next`.
+  /** F then G: sends `emit` over `v`'s out-row of `adj` (none when `v` has
+    * no row), drops messages towards absorbing vertices (PHP kills walks
+    * re-entering the root), and G-combines the rest per destination into
+    * `next`.
     *
     * @return edge activations: one per out-edge, absorbing targets included
     */
   def propagate(
       algo: VCAlgo,
-      out: Array[(Long, Double)],
+      adj: Adjacency,
+      v: Long,
       emit: Double,
       absorbing: Set[Long],
       next: mutable.LongMap[Double],
   ): Int = {
-    if (out == null) return 0
-    var i = 0
-    while (i < out.length) {
-      val (d, w) = out(i)
-      if (!absorbing.contains(d)) offer(algo, next, d, algo.gen(emit, w))
+    val r = adj.rowOf(v)
+    if (r < 0) return 0
+    val (from, until) = (adj.off(r), adj.off(r + 1))
+    var i = from
+    while (i < until) {
+      val d = adj.dst(i)
+      if (!absorbing.contains(d)) offer(algo, next, d, algo.gen(emit, adj.w(i)))
       i += 1
     }
-    out.length
+    until - from
   }
 }

@@ -24,9 +24,10 @@ final case class GraphDelta(updates: Seq[EdgeUpdate]) {
   * The driver owns the graph *metadata* (adjacency, degrees) — the same
   * split real incremental systems use (a master that tracks topology,
   * workers that propagate). [[SparkEngine]] broadcasts the adjacency built
-  * here and runs each round's message generation (F) in executor tasks,
-  * while vertex states stay in the driver; per-subgraph local work runs
-  * inside executor tasks (see `repro.layph.Subgraphs`).
+  * here, flattened into an [[Adjacency]], and runs each round's message
+  * generation (F) in executor tasks, while vertex states stay in the
+  * driver; per-subgraph local work runs inside executor tasks (see
+  * `repro.layph.Subgraphs`).
   */
 final class GraphState private (
     val out: mutable.LongMap[mutable.LongMap[Double]],

@@ -15,14 +15,16 @@ final case class RunStats(
 
 final case class LocalRun(states: mutable.LongMap[Double], stats: RunStats)
 
-/** Single-threaded accumulative engine over an in-memory adjacency.
+/** Single-threaded accumulative engine over an in-memory flat [[Adjacency]].
   *
   * This is the workhorse of Layph's *local* computations: shortcut
   * deduction (Equation 6), revision-message upload, and per-subgraph
   * recomputation all run this engine inside executor tasks — disjoint
   * subgraphs are processed in parallel as Spark tasks, exactly the
-  * parallelism structure the paper describes. It is also the reference
-  * implementation the Spark engine is tested against.
+  * parallelism structure the paper describes; there it reads an
+  * `Adjacency.local` over the subgraph's local indices. It is also the
+  * reference implementation the Spark engine is tested against: both read
+  * out-rows through the same `Bsp.propagate`.
   *
   * Semantics (both kinds): pending messages are aggregated per vertex
   * with G; applying a message to `x_v` either lowers it (MinPlus, emitting
@@ -35,13 +37,14 @@ final case class LocalRun(states: mutable.LongMap[Double], stats: RunStats)
   */
 object LocalEngine {
 
-  /** @param states  initial vertex states, mutated in place
+  /** @param adj     the propagation graph; a vertex without a row emits nothing
+    * @param states  initial vertex states, mutated in place
     * @param seeds   initial pending messages (vertex -> message), G-aggregated
     * @return        the mutated states plus iteration/activation counts
     */
   def run(
       algo: VCAlgo,
-      adj: Long => Array[(Long, Double)],
+      adj: Adjacency,
       states: mutable.LongMap[Double],
       seeds: Iterable[(Long, Double)],
       emitThreshold: Double = Double.NaN,
@@ -59,7 +62,7 @@ object LocalEngine {
       val next = mutable.LongMap.empty[Double]
       frontier.foreachEntry { (v, m) =>
         val emit = Bsp.applyMsg(algo, states, v, m, thr)
-        if (emit != algo.zero) acts += Bsp.propagate(algo, adj(v), emit, absorbing, next)
+        if (emit != algo.zero) acts += Bsp.propagate(algo, adj, v, emit, absorbing, next)
       }
       frontier = next
     }
@@ -68,14 +71,13 @@ object LocalEngine {
 
   /** Batch run from the algorithm's own M0 (Equation 1 until convergence). */
   def batch(algo: VCAlgo, g: GraphState, maxIter: Int = Int.MaxValue): LocalRun = {
-    val adjMap = g.adjacency(algo)
     val states = mutable.LongMap.empty[Double]
     g.vertices.foreach(v => states(v) = algo.defaultState)
     val seeds = algo.roots match {
       case Some(rs) => rs.toSeq.map(v => v -> algo.initMsg(v))
       case None     => g.vertices.toSeq.map(v => v -> algo.initMsg(v))
     }
-    run(algo, adjMap.getOrElse(_, Array.empty), states, seeds,
+    run(algo, Adjacency.of(g.adjacency(algo)), states, seeds,
       absorbing = algo.absorbing, maxIter = maxIter)
   }
 }

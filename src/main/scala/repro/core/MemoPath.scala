@@ -1,7 +1,6 @@
 package repro.core
 
 import scala.collection.mutable
-import org.apache.spark.broadcast.Broadcast
 
 /** Dependency-tree ("memoization path") machinery for MinPlus algorithms.
   *
@@ -93,8 +92,7 @@ object MemoPath {
 
   /** One incremental MinPlus round: invalidate, reseed, propagate, re-memoize.
     *
-    * @param adj          updated forward adjacency (driver copy, for closures)
-    * @param adjBc        the same adjacency, broadcast for the engine
+    * @param adj          updated forward adjacency
     * @param radj         updated reverse adjacency (for reseeding pulls)
     * @param conservative invalidate the forward-reachable region instead of
     *                     the exact tree subtree (KickStarter's trimming)
@@ -107,7 +105,6 @@ object MemoPath {
       algo: VCAlgo,
       engine: SparkEngine,
       adj: Map[Long, Array[(Long, Double)]],
-      adjBc: Broadcast[Map[Long, Array[(Long, Double)]]],
       radj: Map[Long, Array[(Long, Double)]],
       states: mutable.LongMap[Double],
       parents: mutable.LongMap[Long],
@@ -171,7 +168,7 @@ object MemoPath {
     extraSeeds.foreach { case (v, m) => offer(v, m) }
 
     // 4. propagate to the new fixpoint on the distributed engine
-    val run = engine.run(algo, adjBc, states, seeds.toSeq, absorbing = algo.absorbing)
+    val run = engine.run(algo, Adjacency.of(adj), states, seeds.toSeq, absorbing = algo.absorbing)
 
     // 5. re-memoize the dependency tree over the new states
     val newParents = computeParents(radj, run.states)

@@ -87,11 +87,9 @@ class SumIncSystem(
     val seeds = Revision.sumSeeds(oldRows.view.filterKeys(srcs).toMap, newRows, states, algo.absorbing) ++
       // vertices that joined the graph carry fresh root messages M0
       (if (algo.roots.isEmpty) newVerts.toSeq.map(v => v -> algo.initMsg(v)) else Nil)
-    val adjBc = spark.sparkContext.broadcast(g.adjacency(algo))
-    val run = engine.run(algo, adjBc, states, seeds,
+    val run = engine.run(algo, Adjacency.of(g.adjacency(algo)), states, seeds,
       emitThreshold = thresholdOf(algo), absorbing = algo.absorbing,
       maxIter = if (capToBatchEpochs) batchEpochs else Int.MaxValue)
-    adjBc.destroy()
     states = run.states
     SparkRun(states, run.stats.copy(wallMs = (System.nanoTime() - t0) / 1000000))
   }
@@ -162,15 +160,13 @@ class MinIncSystem(
 
     val adj = g.adjacency(algo)
     val radj = GraphState.reverse(adj)
-    val adjBc = spark.sparkContext.broadcast(adj)
     var total = RunStats(0, classifyActs, 0)
     rounds.foreach { changes =>
-      val r = MemoPath.incremental(algo, engine, adj, adjBc, radj, states, parents, changes,
+      val r = MemoPath.incremental(algo, engine, adj, radj, states, parents, changes,
         conservative = conservative)
       states = r.states; parents = r.parents
       total = total + r.stats
     }
-    adjBc.destroy()
     SparkRun(states, total.copy(wallMs = (System.nanoTime() - t0) / 1000000))
   }
 }

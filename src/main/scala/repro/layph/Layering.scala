@@ -43,7 +43,7 @@ object Replication {
 
 /** Entry/exit/internal classification of a subgraph (Definition 1). */
 final case class Roles(entries: Set[Long], exits: Set[Long]) {
-  def boundary: Set[Long] = entries ++ exits
+  lazy val boundary: Set[Long] = entries ++ exits
 }
 
 object Layering {

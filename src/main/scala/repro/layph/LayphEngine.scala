@@ -131,12 +131,14 @@ final class LayphEngine(
     if (minPlus) algo.absorbing else algo.absorbing.flatMap(v => Seq(inN(v), outN(v)))
 
   /** Runs `f` on one payload per subgraph as parallel Spark tasks of one
-    * job, and returns the results: the runner of phase 1's shortcut
-    * deduction and of phase 4's assignment.
+    * job, with `f` as its only closure, and returns the results in payload
+    * order: the runner of phase 1's shortcut deduction and of phase 4's
+    * assignment.
     */
   private def perSubgraph[P: ClassTag, R: ClassTag](payload: Seq[P])(f: P => R): Array[R] =
     if (payload.isEmpty) Array.empty[R]
-    else sc.parallelize(payload, math.min(math.max(1, partitions), payload.size)).map(f).collect()
+    else sc.runJob(sc.parallelize(payload, math.min(math.max(1, partitions), payload.size)),
+      (it: Iterator[P]) => it.map(f).toArray).flatten
 
   // ---------------------------------------------------------------- offline
 
@@ -339,7 +341,6 @@ final class LayphEngine(
       val skelV = skeletonVerts
       val sub = mutable.LongMap.empty[Double]
       skelV.foreach(v => sub(v) = states.getOrElse(v, algo.defaultState))
-      val adjBc = sc.broadcast(skelAdj)
       val entryOld = mutable.LongMap.empty[Double]
       (0 until numSg).foreach { i =>
         sgs(i).entries.foreach(e => entryOld(e) = sub.getOrElse(e, algo.defaultState))
@@ -348,9 +349,8 @@ final class LayphEngine(
       // dependency tree yet, so subtree invalidation cannot reach them —
       // re-derive their states from scratch (pulls see the new shortcut
       // in-edges, so in-subgraph support is recovered)
-      val r = MemoPath.incremental(algo, engine, skelAdj, adjBc, GraphState.reverse(skelAdj), sub,
+      val r = MemoPath.incremental(algo, engine, skelAdj, GraphState.reverse(skelAdj), sub,
         upperParents, changes.toSeq, extraInvalid = newBoundary, extraSeeds = m0)
-      adjBc.destroy()
       upperParents = r.parents
       r.states.foreach { case (v, x) => states(v) = x }
       upperStats = r.stats
@@ -393,9 +393,7 @@ final class LayphEngine(
       val skelV = skeletonVerts
       val sub = mutable.LongMap.empty[Double]
       skelV.foreach { v => sub(inN(v)) = 0.0; sub(outN(v)) = 0.0 }
-      val adjBc = sc.broadcast(skelAdj)
-      val run = engine.run(algo, adjBc, sub, seeds.toSeq, absorbing = skeletonAbsorbing)
-      adjBc.destroy()
+      val run = engine.run(algo, Adjacency.of(skelAdj), sub, seeds.toSeq, absorbing = skeletonAbsorbing)
       upperStats = run.stats
       // an absorbing vertex receives nothing but its own M0 seed, so PHP's
       // root is pinned at M0 offline and left as it is by every update
@@ -410,7 +408,9 @@ final class LayphEngine(
     // ---- phase 4: assignment (Equation 10) --------------------------------
     val tD0 = System.nanoTime()
     val a = algo
-    val payload = (0 until numSg).flatMap { i =>
+    // tasks get the decomposition (rows, L) and internal indices only; the
+    // driver maps the returned states back to vertex ids
+    val assigned = (0 until numSg).flatMap { i =>
       val sg = sgs(i)
       val dm = deltaM(i)
       if (!minPlus) sg.entries.indices.foreach(k => sg.mHist(k) += dm(k))
@@ -419,15 +419,16 @@ final class LayphEngine(
         val bnd = rolesArr(i).boundary
         val internal = sg.verts.indices.filter(j => !bnd.contains(sg.verts(j))).toArray
         val cur = internal.map(j => states.getOrElse(sg.verts(j), algo.defaultState))
-        Some((sg, internal, sg.mHist.clone(), dm, isAff, cur))
+        Some((sg.verts, internal, (sg.rows, sg.lvec, internal, sg.mHist.clone(), dm, isAff, cur)))
       } else None
     }
     var assignActs = 0L
-    perSubgraph(payload) { case (sg, internal, mNew, dm, aff, cur) =>
-      Subgraphs.assignInternal(a, sg, internal, mNew, dm, aff, cur)
-    }.foreach { case (updates, ac) =>
+    perSubgraph(assigned.map(_._3)) { case (rows, lvec, internal, mNew, dm, aff, cur) =>
+      Subgraphs.assignInternal(a, rows, lvec, internal, mNew, dm, aff, cur)
+    }.iterator.zip(assigned).foreach { case ((xs, ac), (verts, internal, _)) =>
       assignActs += ac
-      updates.foreach { case (v, x) => states(v) = x }
+      var jj = 0
+      while (jj < internal.length) { states(verts(internal(jj))) = xs(jj); jj += 1 }
     }
     val tDMs = (System.nanoTime() - tD0) / 1000000
 

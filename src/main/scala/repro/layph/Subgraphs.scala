@@ -1,7 +1,7 @@
 package repro.layph
 
 import scala.collection.mutable
-import repro.core.{LocalEngine, MinPlus, VCAlgo}
+import repro.core.{Adjacency, LocalEngine, MinPlus, VCAlgo}
 
 /** One dense subgraph of the lower layer, plus Layph's memoized per-
   * subgraph decomposition.
@@ -96,9 +96,7 @@ object Subgraphs {
   ): (Array[Array[Double]], Array[Double], Long) = {
     val n = adj.length
     val minPlus = algo.kind == MinPlus
-    val longAdj: Array[Array[(Long, Double)]] =
-      adj.map(_.map { case (t, w) => (t.toLong, w) })
-    val lookup: Long => Array[(Long, Double)] = v => longAdj(v.toInt)
+    val flat = Adjacency.local(adj)
     var acts = 0L
     @inline def tol(x: Double) = 1e-9 * math.max(1.0, math.abs(x))
 
@@ -166,7 +164,7 @@ object Subgraphs {
         }
         if (seeds.isEmpty && broken.isEmpty) vec
         else {
-          val run = LocalEngine.run(algo, lookup, states, seeds.toSeq)
+          val run = LocalEngine.run(algo, flat, states, seeds.toSeq)
           acts += run.stats.activations + changes.length
           Array.tabulate(n)(j => states.getOrElse(j.toLong, algo.defaultState))
         }
@@ -178,7 +176,7 @@ object Subgraphs {
         else {
           val states = mutable.LongMap.empty[Double]
           vec.indices.foreach(j => states(j.toLong) = vec(j))
-          val run = LocalEngine.run(algo, lookup, states, seeds)
+          val run = LocalEngine.run(algo, flat, states, seeds)
           acts += run.stats.activations + changes.length
           Array.tabulate(n)(j => states.getOrElse(j.toLong, 0.0))
         }
@@ -187,7 +185,7 @@ object Subgraphs {
 
     def fresh(seeds: Seq[(Long, Double)]): Array[Double] = {
       val states = mutable.LongMap.empty[Double]
-      acts += LocalEngine.run(algo, lookup, states, seeds).stats.activations
+      acts += LocalEngine.run(algo, flat, states, seeds).stats.activations
       Array.tabulate(n)(j => states.getOrElse(j.toLong, algo.defaultState))
     }
 
@@ -204,57 +202,62 @@ object Subgraphs {
   }
 
   /** Assignment (Equation 10): revises internal states straight through the
-    * shortcuts, with no iterative computation.
+    * shortcuts, with no iterative computation. Reads only the subgraph's
+    * decomposition: `rows(k)(j)` per entry k (so `rows.length` is the entry
+    * count) and `lvec(j)`.
     *
-    * @param mNew     per-entry total external inbox (mHist + this round's ΔM)
-    * @param deltaM   this round's per-entry inbox change
-    * @param affected whether E_i changed this round (forces full recompute
-    *                 from the decomposition instead of a delta update)
-    * @param current  current states of the internal vertices (delta path)
-    * @return         (internal vertex, new state) pairs + activations spent
+    * @param internalIdxs local indices of the internal vertices
+    * @param mNew         per-entry total external inbox (mHist + this round's ΔM)
+    * @param deltaM       this round's per-entry inbox change
+    * @param affected     whether E_i changed this round (forces full recompute
+    *                     from the decomposition instead of a delta update)
+    * @param current      current states of the internal vertices (delta path)
+    * @return             new state per internal vertex, in `internalIdxs`
+    *                     order, + activations spent
     */
   def assignInternal(
       algo: VCAlgo,
-      sg: SubgraphData,
+      rows: Array[Array[Double]],
+      lvec: Array[Double],
       internalIdxs: Array[Int],
       mNew: Array[Double],
       deltaM: Array[Double],
       affected: Boolean,
       current: Array[Double],
-  ): (Array[(Long, Double)], Long) = {
+  ): (Array[Double], Long) = {
     val minPlus = algo.kind == MinPlus
+    val nEnt = rows.length
     var acts = 0L
-    val out = new Array[(Long, Double)](internalIdxs.length)
+    val out = new Array[Double](internalIdxs.length)
     var jj = 0
     while (jj < internalIdxs.length) {
       val j = internalIdxs(jj)
-      val x: Double =
+      out(jj) =
         if (minPlus) {
-          var best = sg.lvec(j)
+          var best = lvec(j)
           var k = 0
-          while (k < sg.entries.length) {
-            val cand = algo.gen(mNew(k), sg.rows(k)(j))
+          while (k < nEnt) {
+            val cand = algo.gen(mNew(k), rows(k)(j))
             if (cand < best) best = cand
             k += 1
           }
-          acts += sg.entries.length
+          acts += nEnt
           best
         } else if (affected) {
-          var s = sg.lvec(j)
+          var s = lvec(j)
           var k = 0
-          while (k < sg.entries.length) { s += mNew(k) * sg.rows(k)(j); k += 1 }
-          acts += sg.entries.length
+          while (k < nEnt) { s += mNew(k) * rows(k)(j); k += 1 }
+          acts += nEnt
           s
         } else {
           var s = current(jj)
           var k = 0
-          while (k < sg.entries.length) {
-            if (deltaM(k) != 0.0) { s += deltaM(k) * sg.rows(k)(j); acts += 1 }
+          while (k < nEnt) {
+            if (deltaM(k) != 0.0) { s += deltaM(k) * rows(k)(j); acts += 1 }
             k += 1
           }
           s
         }
-      out(jj) = (sg.verts(j), x)
       jj += 1
     }
     (out, acts)

@@ -49,11 +49,8 @@ class MemoPathSpec extends SparkSpec {
       val delta = GraphGen.delta(g, 6, 6, seed * 17)
       val eff = g.applyDelta(delta)
       val changes = eff.map(u => MemoPath.EdgeChange(u.src, u.dst, algo.edgeWeight(u.w, 1, u.w), u.isAdd))
-      val adj = g.adjacency(algo)
-      val adjBc = spark.sparkContext.broadcast(adj)
-      val r = MemoPath.incremental(algo, engine, adj, adjBc, g.reverseAdjacency(algo),
+      val r = MemoPath.incremental(algo, engine, g.adjacency(algo), g.reverseAdjacency(algo),
         batch.states, parents, changes, conservative = conservative)
-      adjBc.destroy()
       val expect = LocalEngine.batch(algo, g)
       assertClose(expect.states, r.states, 1e-9, s"$label/$seed")
     }

@@ -65,12 +65,10 @@ class SparkEngineSpec extends SparkSpec {
   private def both(algo: VCAlgo, g: GraphState, states: mutable.LongMap[Double],
                    seeds: Seq[(Long, Double)], emitThreshold: Double = Double.NaN,
                    maxIter: Int = Int.MaxValue): (RunStats, RunStats) = {
-    val adj = g.adjacency(algo)
-    val l = LocalEngine.run(algo, adj.getOrElse(_, null), states.clone(), seeds,
+    val adj = Adjacency.of(g.adjacency(algo))
+    val l = LocalEngine.run(algo, adj, states.clone(), seeds,
       emitThreshold, algo.absorbing, maxIter)
-    val adjBc = spark.sparkContext.broadcast(adj)
-    val s = engine.run(algo, adjBc, states, seeds, emitThreshold, algo.absorbing, maxIter)
-    adjBc.destroy()
+    val s = engine.run(algo, adj, states, seeds, emitThreshold, algo.absorbing, maxIter)
     val tol = if (algo.selective) 0.0 else 1e-9
     assertClose(l.states, s.states, tol, s"${algo.name} maxIter $maxIter")
     (l.stats, s.stats)
@@ -146,21 +144,26 @@ class SparkEngineSpec extends SparkSpec {
 
   test("a round in which no vertex emits launches no Spark job") {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
-    val adjBc = spark.sparkContext.broadcast(g.adjacency(SSSP(0)))
     val states = mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0)
     // the only message does not improve v1, so nothing is emitted
-    val (run, stages, _) = jobsOf(engine.run(SSSP(0), adjBc, states, Seq(1L -> 5.0)))
-    adjBc.destroy()
+    val (run, stages, _) = jobsOf(engine.run(SSSP(0), Adjacency.of(g.adjacency(SSSP(0))), states, Seq(1L -> 5.0)))
     assert(run.stats.iterations == 1 && run.stats.activations == 0)
     assert(stages.isEmpty, s"${stages.size} jobs launched")
   }
 
+  test("a frontier vertex with no out-row emits over no edge") {
+    val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
+    val states = mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0)
+    // sink v2 and v7, which is not in the graph, improve and emit next to v1
+    val (l, s) = both(SSSP(0), g, states, Seq(2L -> 3.0, 7L -> 1.0, 1L -> 1.0))
+    assert(l.iterations == 2 && l.activations == 1)
+    assert(s.iterations == 2 && s.activations == 1)
+  }
+
   test("run leaves the caller's states untouched and adds vertices first reached by a message") {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
-    val adjBc = spark.sparkContext.broadcast(g.adjacency(SSSP(0)))
     val states = mutable.LongMap(0L -> 7.0)
-    val run = engine.run(SSSP(0), adjBc, states, Seq(0L -> 0.0))
-    adjBc.destroy()
+    val run = engine.run(SSSP(0), Adjacency.of(g.adjacency(SSSP(0))), states, Seq(0L -> 0.0))
     assert(states == mutable.LongMap(0L -> 7.0))
     assert(run.states == mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0))
   }
@@ -203,21 +206,17 @@ class SparkEngineSpec extends SparkSpec {
   test("seeded run continues from existing states (incremental semantics)") {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
     val algo = SSSP(0)
-    val adjBc = spark.sparkContext.broadcast(g.adjacency(algo))
     val states = mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0)
     // a better path to v1 appears: distance 1
-    val run = engine.run(algo, adjBc, states, Seq(1L -> 1.0))
-    adjBc.destroy()
+    val run = engine.run(algo, Adjacency.of(g.adjacency(algo)), states, Seq(1L -> 1.0))
     assert(run.states(1L) == 1.0 && run.states(2L) == 3.0)
   }
 
   test("empty seeds return untouched states at zero cost") {
     val g = GraphGen.random(20, 2.0, 5)
     val algo = SSSP(0)
-    val adjBc = spark.sparkContext.broadcast(g.adjacency(algo))
     val states = mutable.LongMap(0L -> 0.0)
-    val run = engine.run(algo, adjBc, states, Nil)
-    adjBc.destroy()
+    val run = engine.run(algo, Adjacency.of(g.adjacency(algo)), states, Nil)
     assert(run.stats.iterations == 0 && run.stats.activations == 0)
   }
 }
