@@ -1,13 +1,17 @@
 package repro.core
 
-/** A flat, algorithm-weighted adjacency: what the engines read their
-  * out-edges from, and what [[SparkEngine]] broadcasts.
+import scala.collection.mutable
+
+/** A flat, algorithm-weighted adjacency: the one weighted-graph type.
+  * The engines read and broadcast it, [[MemoPath]] walks it both ways, and
+  * Layph's effective graph, skeleton and local subgraphs are all one.
   *
   * Four primitive arrays instead of a map of boxed tuples: the out-row of
   * `ids(r)` is the edges `off(r) until off(r + 1)` of `dst`/`w`. Ids are
   * sorted, so a row is found by binary search, and may be any `Long`
-  * (proxies past 2^40, SumTimes split nodes 2v and 2v + 1). Serializing
-  * and size-estimating it walks four arrays, not one object per edge.
+  * (proxies past 2^40, SumTimes split nodes 2v and 2v + 1). Only sources
+  * with an edge have a row. Serializing and size-estimating it walks four
+  * arrays, not one object per edge.
   */
 final class Adjacency private (
     val ids: Array[Long],
@@ -28,32 +32,56 @@ final class Adjacency private (
     if (r < 0) Array.empty
     else Array.tabulate(off(r + 1) - off(r))(i => (dst(off(r) + i), w(off(r) + i)))
   }
+
+  /** Calls `f(v, w)` for each edge of `u`'s out-row, in stored order. */
+  @inline def foreachOut(u: Long)(f: (Long, Double) => Unit): Unit = {
+    val r = rowOf(u)
+    if (r >= 0) for (i <- off(r) until off(r + 1)) f(dst(i), w(i))
+  }
+
+  /** Every edge as (src, dst, w), rows in id order, each row in stored order. */
+  def edges: Iterator[(Long, Long, Double)] =
+    ids.indices.iterator.flatMap(r => (off(r) until off(r + 1)).iterator.map(i => (ids(r), dst(i), w(i))))
+
+  /** The transpose: v -> [(u, w)] for every u -> (v, w). A row lists its
+    * sources in id order, not in the order the edges were added, so only
+    * readers that ignore row order (MinPlus minimums) use it.
+    */
+  def reverse: Adjacency = {
+    val b = Adjacency.newBuilder
+    for (r <- ids.indices; i <- off(r) until off(r + 1)) b.add(dst(i), ids(r), w(i))
+    b.result()
+  }
 }
 
 object Adjacency {
 
-  /** Flattens `m`, keeping each row's edge order. */
-  def of(m: Map[Long, Array[(Long, Double)]]): Adjacency = {
-    val ids = m.keysIterator.toArray
-    java.util.Arrays.sort(ids)
-    val rows = ids.map(m)
-    val off = offsets(rows.map(_.length))
-    val (dst, w) = (new Array[Long](off.last), new Array[Double](off.last))
-    for (r <- rows.indices; i <- rows(r).indices) {
-      dst(off(r) + i) = rows(r)(i)._1; w(off(r) + i) = rows(r)(i)._2
-    }
-    new Adjacency(ids, off, dst, w)
-  }
+  def newBuilder: Builder = new Builder
 
-  /** An adjacency over local indices: row `j` of `rows` is the out-row of id `j`. */
-  def local(rows: Array[Array[(Int, Double)]]): Adjacency = {
-    val off = offsets(rows.map(_.length))
-    val (dst, w) = (new Array[Long](off.last), new Array[Double](off.last))
-    for (r <- rows.indices; i <- rows(r).indices) {
-      dst(off(r) + i) = rows(r)(i)._1; w(off(r) + i) = rows(r)(i)._2
-    }
-    new Adjacency(Array.tabulate(rows.length)(_.toLong), off, dst, w)
-  }
+  /** The one builder: collects edges, then groups them by source stably,
+    * so every row keeps the order in which its edges were added.
+    */
+  final class Builder {
+    private val src = new mutable.ArrayBuilder.ofLong
+    private val dst = new mutable.ArrayBuilder.ofLong
+    private val w   = new mutable.ArrayBuilder.ofDouble
 
-  private def offsets(lens: Array[Int]): Array[Int] = lens.scanLeft(0)(_ + _)
+    def add(u: Long, v: Long, x: Double): Unit = { src.addOne(u); dst.addOne(v); w.addOne(x) }
+
+    def result(): Adjacency = {
+      val (s, d, x) = (src.result(), dst.result(), w.result())
+      val ids = s.sorted
+      var n = 0
+      for (i <- ids.indices) if (n == 0 || ids(i) != ids(n - 1)) { ids(n) = ids(i); n += 1 }
+      val rows = java.util.Arrays.copyOf(ids, n)
+      val r = new Array[Int](s.length)
+      val off = new Array[Int](n + 1)
+      for (i <- s.indices) { r(i) = java.util.Arrays.binarySearch(rows, s(i)); off(r(i) + 1) += 1 }
+      for (k <- 0 until n) off(k + 1) += off(k)
+      val next = off.clone()
+      val (dst2, w2) = (new Array[Long](s.length), new Array[Double](s.length))
+      for (i <- s.indices) { val j = next(r(i)); next(r(i)) += 1; dst2(j) = d(i); w2(j) = x(i) }
+      new Adjacency(rows, off, dst2, w2)
+    }
+  }
 }

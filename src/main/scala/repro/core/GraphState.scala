@@ -23,8 +23,8 @@ final case class GraphDelta(updates: Seq[EdgeUpdate]) {
   *
   * The driver owns the graph *metadata* (adjacency, degrees) — the same
   * split real incremental systems use (a master that tracks topology,
-  * workers that propagate). [[SparkEngine]] broadcasts the adjacency built
-  * here, flattened into an [[Adjacency]], and runs each round's message
+  * workers that propagate). [[SparkEngine]] broadcasts the flat
+  * [[Adjacency]] built here, and runs each round's message
   * generation (F) in executor tasks, while vertex states stay in the
   * driver; per-subgraph local work runs inside executor tasks (see
   * `repro.layph.Subgraphs`).
@@ -90,19 +90,15 @@ final class GraphState private (
       case _ => Array.empty
     }
 
-  /** Algorithm-weighted forward adjacency: u -> [(v, F-weight)]. */
-  def adjacency(algo: VCAlgo): Map[Long, Array[(Long, Double)]] = {
-    val b = Map.newBuilder[Long, Array[(Long, Double)]]
-    out.keysIterator.foreach { u =>
-      val row = weightedRow(u, algo)
-      if (row.nonEmpty) b += u -> row
-    }
+  /** Algorithm-weighted forward adjacency, each row in `weightedRow` order. */
+  def adjacency(algo: VCAlgo): Adjacency = {
+    val b = Adjacency.newBuilder
+    out.keysIterator.foreach(u => weightedRow(u, algo).foreach { case (v, w) => b.add(u, v, w) })
     b.result()
   }
 
   /** Algorithm-weighted reverse adjacency: v -> [(u, F-weight of (u,v))]. */
-  def reverseAdjacency(algo: VCAlgo): Map[Long, Array[(Long, Double)]] =
-    GraphState.reverse(adjacency(algo))
+  def reverseAdjacency(algo: VCAlgo): Adjacency = adjacency(algo).reverse
 
   def copyGraph(): GraphState = {
     val o2 = mutable.LongMap.empty[mutable.LongMap[Double]]
@@ -122,15 +118,6 @@ final class GraphState private (
 
 object GraphState {
   def empty: GraphState = new GraphState(mutable.LongMap.empty, mutable.Set.empty)
-
-  /** Reverses a weighted adjacency: v -> [(u, w)] for every u -> (v, w). */
-  def reverse(adj: Map[Long, Array[(Long, Double)]]): Map[Long, Array[(Long, Double)]] = {
-    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
-    adj.foreach { case (u, outs) =>
-      outs.foreach { case (v, w) => acc.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += ((u, w)) }
-    }
-    acc.iterator.map { case (v, b) => (v, b.toArray) }.toMap
-  }
 
   def fromEdges(edges: Iterable[RawEdge], extraVertices: Iterable[Long] = Nil): GraphState = {
     val g = empty

@@ -22,7 +22,7 @@ final case class LocalRun(states: mutable.LongMap[Double], stats: RunStats)
   * recomputation all run this engine inside executor tasks — disjoint
   * subgraphs are processed in parallel as Spark tasks, exactly the
   * parallelism structure the paper describes; there it reads an
-  * `Adjacency.local` over the subgraph's local indices. It is also the
+  * [[Adjacency]] over the subgraph's local indices. It is also the
   * reference implementation the Spark engine is tested against: both read
   * out-rows through the same `Bsp.propagate`.
   *
@@ -77,7 +77,7 @@ object LocalEngine {
       case Some(rs) => rs.toSeq.map(v => v -> algo.initMsg(v))
       case None     => g.vertices.toSeq.map(v => v -> algo.initMsg(v))
     }
-    run(algo, Adjacency.of(g.adjacency(algo)), states, seeds,
+    run(algo, g.adjacency(algo), states, seeds,
       absorbing = algo.absorbing, maxIter = maxIter)
   }
 }

@@ -15,7 +15,9 @@ import scala.collection.mutable
   *
   * The tree itself is driver-side metadata (as in the real systems, where
   * it lives in shared memory); the fixpoint propagation runs on the
-  * distributed [[SparkEngine]].
+  * distributed [[SparkEngine]]. Both directions are [[Adjacency]]s; a
+  * reverse row is in source-id order, and every read of one takes a
+  * minimum (smallest supporting parent, best pulled candidate).
   */
 object MemoPath {
 
@@ -28,22 +30,17 @@ object MemoPath {
     * Roots and unreachable vertices have no parent.
     */
   def computeParents(
-      radj: Map[Long, Array[(Long, Double)]],
+      radj: Adjacency,
       states: mutable.LongMap[Double],
   ): mutable.LongMap[Long] = {
     val parents = mutable.LongMap.empty[Long]
     states.foreach { case (v, xv) =>
       if (xv.isFinite && xv != 0.0) {
-        radj.get(v).foreach { ins =>
-          var best = -1L
-          var i = 0
-          while (i < ins.length) {
-            val (u, w) = ins(i)
-            if (states.get(u).exists(xu => supports(xu, w, xv)) && (best == -1L || u < best)) best = u
-            i += 1
-          }
-          if (best >= 0) parents(v) = best
+        var best = -1L
+        radj.foreachOut(v) { (u, w) =>
+          if (states.get(u).exists(xu => supports(xu, w, xv)) && (best == -1L || u < best)) best = u
         }
+        if (best >= 0) parents(v) = best
       }
     }
     parents
@@ -67,7 +64,7 @@ object MemoPath {
     * the conservative invalidation region modeling KickStarter's trimming.
     */
   def forwardClosure(
-      adj: Map[Long, Array[(Long, Double)]],
+      adj: Adjacency,
       seeds: Set[Long],
       cap: Int = Int.MaxValue,
   ): Set[Long] = {
@@ -76,7 +73,7 @@ object MemoPath {
     seeds.foreach { s => if (out.add(s)) queue += s }
     while (queue.nonEmpty && out.size < cap) {
       val v = queue.dequeue()
-      adj.get(v).foreach(_.foreach { case (c, _) => if (out.add(c)) queue += c })
+      adj.foreachOut(v)((c, _) => if (out.add(c)) queue += c)
     }
     out.toSet
   }
@@ -104,8 +101,8 @@ object MemoPath {
   def incremental(
       algo: VCAlgo,
       engine: SparkEngine,
-      adj: Map[Long, Array[(Long, Double)]],
-      radj: Map[Long, Array[(Long, Double)]],
+      adj: Adjacency,
+      radj: Adjacency,
       states: mutable.LongMap[Double],
       parents: mutable.LongMap[Long],
       changes: Seq[EdgeChange],
@@ -149,13 +146,11 @@ object MemoPath {
       seeds.updateWith(v) { case Some(a) => Some(algo.agg(a, m)); case None => Some(m) }
 
     invalid.foreach { v =>
-      radj.get(v).foreach { ins =>
-        pullActs += ins.length
-        ins.foreach { case (u, w) =>
-          if (!invalid.contains(u)) {
-            val xu = states.getOrElse(u, algo.defaultState)
-            if (xu.isFinite) offer(v, algo.gen(xu, w))
-          }
+      radj.foreachOut(v) { (u, w) =>
+        pullActs += 1
+        if (!invalid.contains(u)) {
+          val xu = states.getOrElse(u, algo.defaultState)
+          if (xu.isFinite) offer(v, algo.gen(xu, w))
         }
       }
     }
@@ -168,7 +163,7 @@ object MemoPath {
     extraSeeds.foreach { case (v, m) => offer(v, m) }
 
     // 4. propagate to the new fixpoint on the distributed engine
-    val run = engine.run(algo, Adjacency.of(adj), states, seeds.toSeq, absorbing = algo.absorbing)
+    val run = engine.run(algo, adj, states, seeds.toSeq, absorbing = algo.absorbing)
 
     // 5. re-memoize the dependency tree over the new states
     val newParents = computeParents(radj, run.states)

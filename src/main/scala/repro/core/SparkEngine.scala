@@ -100,6 +100,6 @@ final class SparkEngine(spark: SparkSession, val numPartitions: Int = 8) extends
       case Some(rs) => rs.toSeq.map(v => v -> algo.initMsg(v))
       case None     => g.vertices.toSeq.map(v => v -> algo.initMsg(v))
     }
-    run(algo, Adjacency.of(g.adjacency(algo)), states0, seeds, absorbing = algo.absorbing, maxIter = maxIter)
+    run(algo, g.adjacency(algo), states0, seeds, absorbing = algo.absorbing, maxIter = maxIter)
   }
 }

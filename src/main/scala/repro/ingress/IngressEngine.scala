@@ -87,7 +87,7 @@ class SumIncSystem(
     val seeds = Revision.sumSeeds(oldRows.view.filterKeys(srcs).toMap, newRows, states, algo.absorbing) ++
       // vertices that joined the graph carry fresh root messages M0
       (if (algo.roots.isEmpty) newVerts.toSeq.map(v => v -> algo.initMsg(v)) else Nil)
-    val run = engine.run(algo, Adjacency.of(g.adjacency(algo)), states, seeds,
+    val run = engine.run(algo, g.adjacency(algo), states, seeds,
       emitThreshold = thresholdOf(algo), absorbing = algo.absorbing,
       maxIter = if (capToBatchEpochs) batchEpochs else Int.MaxValue)
     states = run.states
@@ -159,7 +159,7 @@ class MinIncSystem(
       }
 
     val adj = g.adjacency(algo)
-    val radj = GraphState.reverse(adj)
+    val radj = adj.reverse
     var total = RunStats(0, classifyActs, 0)
     rounds.foreach { changes =>
       val r = MemoPath.incremental(algo, engine, adj, radj, states, parents, changes,

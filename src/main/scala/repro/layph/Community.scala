@@ -20,13 +20,17 @@ import repro.core.RawEdge
   */
 object Community {
 
-  /** @param edgesDF   (src: long, dst: long, w: double) edge list
+  /** Capped LPA.
+    *
+    * @param edgesDF   (src: long, dst: long, w: double) edge list
     * @param rounds    synchronous LPA rounds
     * @param maxSize   community size cap K (oversized groups are hash-split)
-    * @return          (vertex, community) assignment; every vertex of the
-    *                  edge list appears exactly once
+    * @return          vertex -> community, the community being the rank of
+    *                  the vertex's (label, part) pair among the distinct
+    *                  pairs in sorted order; every vertex of the edge list
+    *                  appears exactly once
     */
-  def detect(spark: SparkSession, edgesDF: DataFrame, rounds: Int = 6, maxSize: Int = 1500): DataFrame = {
+  private def detect(spark: SparkSession, edgesDF: DataFrame, rounds: Int, maxSize: Int): Map[Long, Long] = {
     // Undirected view: community structure ignores edge direction.
     val und = edgesDF.select(col("src").as("a"), col("dst").as("b"))
       .union(edgesDF.select(col("dst").as("a"), col("src").as("b")))
@@ -57,21 +61,19 @@ object Community {
       labels = next
     }
 
-    // size cap K: hash-split oversized communities into ceil(size/K) buckets;
-    // a community is the pair (label, part), numbered densely in that order
+    // size cap K: hash-split oversized communities into ceil(size/K) buckets
     val sizes = labels.groupBy("label").agg(count(lit(1)).as("sz"))
-    val out = labels.join(sizes, "label")
+    val vlp = labels.join(sizes, "label")
       .withColumn("parts", ceil(col("sz") / lit(maxSize.toDouble)).cast("long"))
       .withColumn("part",
         when(col("parts") <= 1, lit(0L)).otherwise(pmod(hash(col("v")).cast("long"), col("parts"))))
       .select(col("v"), col("label"), col("part"))
-    val dense = out.select(col("label"), col("part")).distinct()
-      .withColumn("cid", row_number().over(Window.orderBy(col("label"), col("part"))).cast("long") - 1)
-    val res = out.join(dense, Seq("label", "part")).select(col("v"), col("cid").as("community"))
-    val materialized = res.localCheckpoint()
+      .collect().map(r => (r.getLong(0), (r.getLong(1), r.getLong(2))))
     und.unpersist(blocking = false)
     labels.unpersist(blocking = false)
-    materialized
+    // a community is the pair (label, part), numbered densely in that order
+    val cid = vlp.map(_._2).distinct.sorted.zipWithIndex.toMap
+    vlp.iterator.map { case (v, lp) => v -> cid(lp).toLong }.toMap
   }
 
   /** Dense-subgraph candidates: capped LPA ([[detect]]), then the driver-side
@@ -83,9 +85,7 @@ object Community {
     *         exactly once, and the ids are 0 until the number of communities
     */
   def detectMap(spark: SparkSession, edgesDF: DataFrame, rounds: Int = 6, maxSize: Int = 1500): Map[Long, Long] = {
-    val df = detect(spark, edgesDF, rounds, maxSize)
-    val lpa = df.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    df.unpersist(blocking = false)
+    val lpa = detect(spark, edgesDF, rounds, maxSize)
     val edges = edgesDF.select("src", "dst").collect().iterator.map(r => RawEdge(r.getLong(0), r.getLong(1), 0.0))
     val merged = agglomerate(edges, lpa, maxSize)
     val dense = merged.values.toSeq.distinct.sorted.zipWithIndex.map { case (c, i) => c -> i.toLong }.toMap

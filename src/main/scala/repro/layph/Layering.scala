@@ -1,7 +1,7 @@
 package repro.layph
 
 import scala.collection.mutable
-import repro.core.{GraphState, VCAlgo}
+import repro.core.{Adjacency, GraphState, VCAlgo}
 
 /** Tunables of the layered-graph construction. */
 final case class LayphConfig(
@@ -145,10 +145,8 @@ object Layering {
       algo: VCAlgo,
       memb: mutable.LongMap[Int],
       repl: Replication,
-  ): Map[Long, Array[(Long, Double)]] = {
-    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
-    def add(u: Long, v: Long, w: Double): Unit =
-      acc.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += ((v, w))
+  ): Adjacency = {
+    val b = Adjacency.newBuilder
     val transparent = mutable.Set.empty[(Long, Long)] // emitted identity links
 
     g.out.keysIterator.foreach { u =>
@@ -158,40 +156,37 @@ object Layering {
         val viaIn = mv.flatMap { i => if (!mu.contains(i)) repl.inProxy.get((u, i)) else None }
         viaIn match {
           case Some(p) =>
-            add(p, v, w)
-            if (transparent.add((u, p))) add(u, p, algo.one)
+            b.add(p, v, w)
+            if (transparent.add((u, p))) b.add(u, p, algo.one)
           case None =>
             val viaOut = mu.flatMap { i => if (!mv.contains(i)) repl.outProxy.get((v, i)) else None }
             viaOut match {
               case Some(p) =>
-                add(u, p, w)
-                if (transparent.add((p, v))) add(p, v, algo.one)
-              case None => add(u, v, w)
+                b.add(u, p, w)
+                if (transparent.add((p, v))) b.add(p, v, algo.one)
+              case None => b.add(u, v, w)
             }
         }
       }
     }
-    acc.iterator.map { case (u, b) => (u, b.toArray) }.toMap
+    b.result()
   }
 
   /** Entry/exit classification (Definition 1) per subgraph over an
     * effective adjacency. Proxies classify like any other member.
     */
   def roles(
-      adj: Map[Long, Array[(Long, Double)]],
+      adj: Adjacency,
       memb: mutable.LongMap[Int],
       numSubgraphs: Int,
   ): Array[Roles] = {
     val ent = Array.fill(numSubgraphs)(mutable.Set.empty[Long])
     val exi = Array.fill(numSubgraphs)(mutable.Set.empty[Long])
-    adj.foreach { case (u, outs) =>
-      val mu = memb.get(u)
-      outs.foreach { case (v, _) =>
-        val mv = memb.get(v)
-        if (mu != mv) {
-          mv.foreach(i => ent(i) += v)
-          mu.foreach(i => exi(i) += u)
-        }
+    adj.edges.foreach { case (u, v, _) =>
+      val mu = memb.get(u); val mv = memb.get(v)
+      if (mu != mv) {
+        mv.foreach(i => ent(i) += v)
+        mu.foreach(i => exi(i) += u)
       }
     }
     Array.tabulate(numSubgraphs)(i => Roles(ent(i).toSet, exi(i).toSet))

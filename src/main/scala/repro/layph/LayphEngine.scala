@@ -54,9 +54,9 @@ final class LayphEngine(
   private var numSg = 0
   private var sgs: Array[SubgraphData] = _
   private var rolesArr: Array[Roles] = _ // tracked boundary, grows monotonically
-  private var effAdj: Map[Long, Array[(Long, Double)]] = _
+  private var effAdj: Adjacency = _
   private var states: mutable.LongMap[Double] = _
-  private var skelAdj: Map[Long, Array[(Long, Double)]] = _
+  private var skelAdj: Adjacency = _
   private var upperParents: mutable.LongMap[Long] = _
 
   /** An effective-edge weight diff (u, v, wOld, wNew). */
@@ -94,17 +94,12 @@ final class LayphEngine(
     * we include entry -> entry so in-subgraph support of boundary states
     * flows on the skeleton too, which Theorems 1-2 implicitly need).
     */
-  private def buildSkeleton(): Map[Long, Array[(Long, Double)]] = {
-    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[(Long, Double)]]
-    def add(u: Long, v: Long, w: Double): Unit =
-      acc.getOrElseUpdate(u, mutable.ArrayBuffer.empty) += ((v, w))
-
-    effAdj.foreach { case (u, outs) =>
-      outs.foreach { case (v, w) =>
-        if (!sameSg(u, v)) {
-          if (minPlus) add(u, v, w)
-          else { add(inN(u), inN(v), w); add(outN(u), inN(v), w) }
-        }
+  private def buildSkeleton(): Adjacency = {
+    val acc = Adjacency.newBuilder
+    effAdj.edges.foreach { case (u, v, w) =>
+      if (!sameSg(u, v)) {
+        if (minPlus) acc.add(u, v, w)
+        else { acc.add(inN(u), inN(v), w); acc.add(outN(u), inN(v), w) }
       }
     }
     (0 until numSg).foreach { i =>
@@ -115,16 +110,16 @@ final class LayphEngine(
         bnd.foreach { b =>
           val w = sg.rows(k)(sg.idx(b))
           if (b != e) {
-            if (minPlus) { if (w.isFinite) add(e, b, w) }
-            else if (w != 0.0) add(inN(e), outN(b), w)
+            if (minPlus) { if (w.isFinite) acc.add(e, b, w) }
+            else if (w != 0.0) acc.add(inN(e), outN(b), w)
           } else if (!minPlus) {
             val ret = w - 1.0 // strip the k = 0 identity term; keep returning mass
-            if (math.abs(ret) > 1e-300) add(inN(e), outN(e), ret)
+            if (math.abs(ret) > 1e-300) acc.add(inN(e), outN(e), ret)
           }
         }
       }
     }
-    acc.iterator.map { case (u, b) => (u, b.toArray) }.toMap
+    acc.result()
   }
 
   private def skeletonAbsorbing: Set[Long] =
@@ -202,7 +197,7 @@ final class LayphEngine(
     val rawSrcs = delta.updates.map(_.src).distinct
     val touchedEff = rawSrcs.flatMap(effSources).distinct
     val oldRows: Map[Long, Map[Long, Double]] =
-      touchedEff.map(u => u -> effAdj.get(u).map(_.toMap).getOrElse(Map.empty)).toMap
+      touchedEff.map(u => u -> effAdj.row(u).toMap).toMap
 
     val newVerts = delta.touchedVertices.filterNot(g.verts.contains)
     val effective = g.applyDelta(delta)
@@ -223,7 +218,7 @@ final class LayphEngine(
     val noW = if (minPlus) Double.PositiveInfinity else 0.0
     effective.map(_.src).distinct.flatMap(effSources).distinct.foreach { u =>
       val o = oldRows.getOrElse(u, Map.empty)
-      val n = effAdj.get(u).map(_.toMap).getOrElse(Map.empty)
+      val n = effAdj.row(u).toMap
       (o.keySet ++ n.keySet).foreach { v =>
         val wo = o.getOrElse(v, noW); val wn = n.getOrElse(v, noW)
         if (wo != wn) diffs += ((u, v, wo, wn))
@@ -349,7 +344,7 @@ final class LayphEngine(
       // dependency tree yet, so subtree invalidation cannot reach them —
       // re-derive their states from scratch (pulls see the new shortcut
       // in-edges, so in-subgraph support is recovered)
-      val r = MemoPath.incremental(algo, engine, skelAdj, GraphState.reverse(skelAdj), sub,
+      val r = MemoPath.incremental(algo, engine, skelAdj, skelAdj.reverse, sub,
         upperParents, changes.toSeq, extraInvalid = newBoundary, extraSeeds = m0)
       upperParents = r.parents
       r.states.foreach { case (v, x) => states(v) = x }
@@ -393,7 +388,7 @@ final class LayphEngine(
       val skelV = skeletonVerts
       val sub = mutable.LongMap.empty[Double]
       skelV.foreach { v => sub(inN(v)) = 0.0; sub(outN(v)) = 0.0 }
-      val run = engine.run(algo, Adjacency.of(skelAdj), sub, seeds.toSeq, absorbing = skeletonAbsorbing)
+      val run = engine.run(algo, skelAdj, sub, seeds.toSeq, absorbing = skeletonAbsorbing)
       upperStats = run.stats
       // an absorbing vertex receives nothing but its own M0 seed, so PHP's
       // root is pinned at M0 offline and left as it is by every update
@@ -462,12 +457,13 @@ final class LayphEngine(
         val local = changes.getOrElse(Array.empty).collect {
           case (u, v, wo, wn) if sg.idx.contains(u) && sg.idx.contains(v) => (sg.idx(u), sg.idx(v), wo, wn)
         }
-        Some((i, ks, sg.adj, ks.map(k => sg.idx(sg.entries(k))), ks.map(sg.rows), sg.lvec, local, m0vec))
+        Some((i, ks, sg.verts.length, sg.adj, ks.map(k => sg.idx(sg.entries(k))), ks.map(sg.rows), sg.lvec,
+          local, m0vec))
       }
     }
     var acts = 0L
-    perSubgraph(payload) { case (i, ks, adj, entryIdxs, rows, lvec, local, m0vec) =>
-      val (r, l, ac) = Subgraphs.deduce(a, adj, entryIdxs, rows, lvec, local, m0vec)
+    perSubgraph(payload) { case (i, ks, n, adj, entryIdxs, rows, lvec, local, m0vec) =>
+      val (r, l, ac) = Subgraphs.deduce(a, n, adj, entryIdxs, rows, lvec, local, m0vec)
       (i, ks, r, l, ac)
     }.foreach { case (i, ks, rows, lvec, ac) =>
       acts += ac
@@ -494,10 +490,8 @@ final class LayphEngine(
     */
   def upperLayerSize: (Int, Long) = {
     val nE =
-      if (minPlus) skelAdj.valuesIterator.map(_.length.toLong).sum
-      else skelAdj.iterator.collect { case (u, outs) if u % 2 == 0 =>
-        outs.count { case (v, _) => v != u + 1 }.toLong
-      }.sum
+      if (minPlus) skelAdj.dst.length.toLong
+      else skelAdj.edges.count { case (u, v, _) => u % 2 == 0 && v != u + 1 }.toLong
     (skeletonVerts.size, nE)
   }
 

@@ -17,12 +17,14 @@ import repro.core.{Adjacency, LocalEngine, MinPlus, VCAlgo}
   *
   * ((+)=G, (x)=F) which is how revision-message upload (Equation 7) and
   * assignment (Equation 10) are computed without touching internal edges.
+  * E_i itself is a flat [[Adjacency]] over local indices, which is what
+  * the deduction tasks receive and what [[LocalEngine]] reads.
   */
 final case class SubgraphData(
     id: Int,
     verts: Array[Long],                 // sorted members (incl. proxies)
     idx: Map[Long, Int],                // global id -> local index
-    adj: Array[Array[(Int, Double)]],   // algo-weighted E_i over local indices
+    adj: Adjacency,                     // algo-weighted E_i over local indices
     entries: Array[Long],               // tracked entries (monotone growing)
     exits: Array[Long],                 // tracked exits (monotone growing)
     rows: Array[Array[Double]],         // rows(k)(j): shortcut entries(k) -> verts(j)
@@ -33,23 +35,23 @@ final case class SubgraphData(
 object Subgraphs {
 
   /** Extracts the structural part of subgraph `i` from the effective
-    * adjacency (edges with both endpoints in the subgraph).
+    * adjacency: the edges with both endpoints in the subgraph, as an
+    * [[Adjacency]] over local indices (member `verts(j)` is id `j`), each
+    * row in its effective-row order.
     */
   def structure(
       i: Int,
       members: Array[Long],
-      effAdj: Map[Long, Array[(Long, Double)]],
+      effAdj: Adjacency,
       memb: mutable.LongMap[Int],
-  ): (Array[Long], Map[Long, Int], Array[Array[(Int, Double)]]) = {
+  ): (Array[Long], Map[Long, Int], Adjacency) = {
     val verts = members.sorted
     val idx = verts.zipWithIndex.map { case (v, j) => v -> j }.toMap
-    val adj = Array.fill(verts.length)(Array.empty[(Int, Double)])
+    val adj = Adjacency.newBuilder
     verts.indices.foreach { j =>
-      effAdj.get(verts(j)).foreach { outs =>
-        adj(j) = outs.collect { case (t, w) if memb.get(t).contains(i) => (idx(t), w) }
-      }
+      effAdj.foreachOut(verts(j))((t, w) => if (memb.get(t).contains(i)) adj.add(j, idx(t), w))
     }
-    (verts, idx, adj)
+    (verts, idx, adj.result())
   }
 
   /** Shortcut rows (Equation 6) and the local root-mass vector L of one
@@ -75,6 +77,7 @@ object Subgraphs {
     * proportional to the change, not to the subgraph count (the paper's
     * Figure 6 behaviour).
     *
+    * @param n       number of members; `adj` has ids 0 until n
     * @param oldRows memoized row per entry of `entryIdxs`, empty to deduce it
     * @param oldL    memoized L, empty to deduce it
     * @param changes local-index edge diffs (u, v, wOld, wNew) with the
@@ -87,32 +90,28 @@ object Subgraphs {
     */
   def deduce(
       algo: VCAlgo,
-      adj: Array[Array[(Int, Double)]],
+      n: Int,
+      adj: Adjacency,
       entryIdxs: Array[Int],
       oldRows: Array[Array[Double]],
       oldL: Array[Double],
       changes: Array[(Int, Int, Double, Double)],
       m0vec: Array[Double],
   ): (Array[Array[Double]], Array[Double], Long) = {
-    val n = adj.length
     val minPlus = algo.kind == MinPlus
-    val flat = Adjacency.local(adj)
     var acts = 0L
     @inline def tol(x: Double) = 1e-9 * math.max(1.0, math.abs(x))
 
     // reverse NEW adjacency + OLD adjacency (changes undone), built lazily:
-    // only MinPlus rows with broken support need them
-    lazy val rin: Array[Array[(Int, Double)]] = {
-      val b = Array.fill(n)(mutable.ArrayBuffer.empty[(Int, Double)])
-      (0 until n).foreach(u => adj(u).foreach { case (v, w) => b(v) += ((u, w)) })
-      b.map(_.toArray)
-    }
-    lazy val oldAdj: Array[Array[(Int, Double)]] = {
-      val m = adj.map(outs => mutable.LongMap.from(outs.map { case (v, w) => (v.toLong, w) }))
-      changes.foreach { case (u, v, wo, _) =>
-        if (wo.isFinite && wo != 0.0) m(u)(v.toLong) = wo else m(u).remove(v.toLong)
-      }
-      m.map(_.iterator.map { case (v, w) => (v.toInt, w) }.toArray)
+    // only MinPlus rows with broken support need them, and both are read
+    // order-free (a closure, and a minimum over pulled candidates)
+    lazy val radj = adj.reverse
+    lazy val oldAdj: Adjacency = {
+      val changed = changes.iterator.map { case (u, v, _, _) => (u.toLong, v.toLong) }.toSet
+      val b = Adjacency.newBuilder
+      adj.edges.foreach { case (u, v, w) => if (!changed((u, v))) b.add(u, v, w) }
+      changes.foreach { case (u, v, wo, _) => if (wo.isFinite && wo != 0.0) b.add(u, v, wo) }
+      b.result()
     }
 
     def reviseVector(vec: Array[Double], entry: Int): Array[Double] = {
@@ -137,7 +136,8 @@ object Subgraphs {
           broken.foreach { v => if (invalid.add(v)) queue += v }
           while (queue.nonEmpty) {
             val a = queue.dequeue()
-            oldAdj(a).foreach { case (b, w) =>
+            oldAdj.foreachOut(a) { (bl, w) =>
+              val b = bl.toInt
               if (!invalid.contains(b) && vec(a).isFinite &&
                   math.abs(vec(a) + w - vec(b)) <= tol(vec(b))) {
                 invalid += b; queue += b
@@ -148,10 +148,10 @@ object Subgraphs {
           if (entry >= 0 && invalid.contains(entry)) states(entry.toLong) = 0.0
           invalid.foreach { b =>
             if (b != entry) {
-              acts += rin(b).length
-              rin(b).foreach { case (a, w) =>
-                if (!invalid.contains(a)) {
-                  val xa = states.getOrElse(a.toLong, algo.defaultState)
+              radj.foreachOut(b) { (a, w) =>
+                acts += 1
+                if (!invalid.contains(a.toInt)) {
+                  val xa = states.getOrElse(a, algo.defaultState)
                   if (xa.isFinite) offer(b.toLong, xa + w)
                 }
               }
@@ -164,7 +164,7 @@ object Subgraphs {
         }
         if (seeds.isEmpty && broken.isEmpty) vec
         else {
-          val run = LocalEngine.run(algo, flat, states, seeds.toSeq)
+          val run = LocalEngine.run(algo, adj, states, seeds.toSeq)
           acts += run.stats.activations + changes.length
           Array.tabulate(n)(j => states.getOrElse(j.toLong, algo.defaultState))
         }
@@ -176,7 +176,7 @@ object Subgraphs {
         else {
           val states = mutable.LongMap.empty[Double]
           vec.indices.foreach(j => states(j.toLong) = vec(j))
-          val run = LocalEngine.run(algo, flat, states, seeds)
+          val run = LocalEngine.run(algo, adj, states, seeds)
           acts += run.stats.activations + changes.length
           Array.tabulate(n)(j => states.getOrElse(j.toLong, 0.0))
         }
@@ -185,7 +185,7 @@ object Subgraphs {
 
     def fresh(seeds: Seq[(Long, Double)]): Array[Double] = {
       val states = mutable.LongMap.empty[Double]
-      acts += LocalEngine.run(algo, flat, states, seeds).stats.activations
+      acts += LocalEngine.run(algo, adj, states, seeds).stats.activations
       Array.tabulate(n)(j => states.getOrElse(j.toLong, algo.defaultState))
     }
 

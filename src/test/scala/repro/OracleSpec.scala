@@ -4,31 +4,29 @@ import org.apache.spark.sql.functions._
 
 class OracleSpec extends SparkSpec {
 
+  private def edges = SynthData.communityGraph(spark,
+    nComm = 3, commSize = 10, intraDegree = 3.0, nBursts = 2, burstFan = 3, nSingles = 5)
+  private val outDegrees = "SELECT src, COUNT(*) AS n FROM edges GROUP BY src"
+
   test("oracle accepts a matching aggregate") {
-    val df = SynthData.customer(spark, 0.001)
-    val got = df.groupBy("c_mktsegment").agg(count(lit(1)).as("n"))
-    Oracle.assertEquivalent(got,
-      "SELECT c_mktsegment, COUNT(*) AS n FROM customer GROUP BY c_mktsegment",
-      "customer" -> df)
+    val df = edges
+    val got = df.groupBy("src").agg(count(lit(1)).as("n"))
+    Oracle.assertEquivalent(got, outDegrees, "edges" -> df)
   }
 
   test("oracle rejects a wrong result") {
-    val df = SynthData.customer(spark, 0.001)
-    val wrong = df.groupBy("c_mktsegment").agg((count(lit(1)) + 1).as("n"))
+    val df = edges
+    val wrong = df.groupBy("src").agg((count(lit(1)) + 1).as("n"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong,
-        "SELECT c_mktsegment, COUNT(*) AS n FROM customer GROUP BY c_mktsegment",
-        "customer" -> df)
+      Oracle.assertEquivalent(wrong, outDegrees, "edges" -> df)
     }
   }
 
   test("oracle rejects a column mismatch") {
-    val df = SynthData.customer(spark, 0.001)
-    val got = df.groupBy("c_mktsegment").agg(count(lit(1)).as("wrong_name"))
+    val df = edges
+    val got = df.groupBy("src").agg(count(lit(1)).as("wrong_name"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(got,
-        "SELECT c_mktsegment, COUNT(*) AS n FROM customer GROUP BY c_mktsegment",
-        "customer" -> df)
+      Oracle.assertEquivalent(got, outDegrees, "edges" -> df)
     }
   }
 }

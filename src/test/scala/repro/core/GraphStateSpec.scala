@@ -33,13 +33,13 @@ class GraphStateSpec extends SparkSpec {
   test("adjacency folds PageRank d/N_u into edge weights") {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 1), RawEdge(0, 2, 1), RawEdge(2, 1, 5)))
     val adj = g.adjacency(PageRank())
-    assert(adj(0L).forall(_._2 == 0.85 / 2))
-    assert(adj(2L).head._2 == 0.85)
+    assert(adj.row(0L).forall(_._2 == 0.85 / 2))
+    assert(adj.row(2L).head._2 == 0.85)
   }
 
   test("adjacency folds PHP d*w/W_u into edge weights") {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 1), RawEdge(0, 2, 3)))
-    val adj = g.adjacency(PHP(9)).apply(0L).toMap
+    val adj = g.adjacency(PHP(9)).row(0L).toMap
     assert(math.abs(adj(1L) - 0.85 * 0.25) < 1e-12)
     assert(math.abs(adj(2L) - 0.85 * 0.75) < 1e-12)
   }
@@ -49,8 +49,8 @@ class GraphStateSpec extends SparkSpec {
     val algo = SSSP(0)
     val fwd = g.adjacency(algo)
     val rev = g.reverseAdjacency(algo)
-    val fwdPairs = fwd.toSeq.flatMap { case (u, outs) => outs.map { case (v, w) => (u, v, w) } }.toSet
-    val revPairs = rev.toSeq.flatMap { case (v, ins) => ins.map { case (u, w) => (u, v, w) } }.toSet
+    val fwdPairs = fwd.edges.toSet
+    val revPairs = rev.edges.map { case (v, u, w) => (u, v, w) }.toSet
     assert(fwdPairs == revPairs)
   }
 

@@ -73,7 +73,7 @@ class LocalEngineSpec extends AnyFunSuite {
   test("empty seeds converge immediately") {
     val g = GraphGen.random(10, 2.0, 1)
     val adj = g.adjacency(SSSP(0))
-    val r = LocalEngine.run(SSSP(0), Adjacency.of(adj),
+    val r = LocalEngine.run(SSSP(0), adj,
       scala.collection.mutable.LongMap.empty, Nil)
     assert(r.stats.iterations == 0 && r.stats.activations == 0)
   }

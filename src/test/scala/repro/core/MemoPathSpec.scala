@@ -20,7 +20,7 @@ class MemoPathSpec extends SparkSpec {
       if (v != 0L && x.isFinite) {
         val p = parents.get(v)
         assert(p.isDefined, s"vertex $v lacks a parent")
-        val w = g.adjacency(algo)(p.get).find(_._1 == v).get._2
+        val w = g.adjacency(algo).row(p.get).find(_._1 == v).get._2
         assert(math.abs(run.states(p.get) + w - x) < 1e-9)
       }
     }

@@ -65,7 +65,7 @@ class SparkEngineSpec extends SparkSpec {
   private def both(algo: VCAlgo, g: GraphState, states: mutable.LongMap[Double],
                    seeds: Seq[(Long, Double)], emitThreshold: Double = Double.NaN,
                    maxIter: Int = Int.MaxValue): (RunStats, RunStats) = {
-    val adj = Adjacency.of(g.adjacency(algo))
+    val adj = g.adjacency(algo)
     val l = LocalEngine.run(algo, adj, states.clone(), seeds,
       emitThreshold, algo.absorbing, maxIter)
     val s = engine.run(algo, adj, states, seeds, emitThreshold, algo.absorbing, maxIter)
@@ -146,7 +146,7 @@ class SparkEngineSpec extends SparkSpec {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
     val states = mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0)
     // the only message does not improve v1, so nothing is emitted
-    val (run, stages, _) = jobsOf(engine.run(SSSP(0), Adjacency.of(g.adjacency(SSSP(0))), states, Seq(1L -> 5.0)))
+    val (run, stages, _) = jobsOf(engine.run(SSSP(0), g.adjacency(SSSP(0)), states, Seq(1L -> 5.0)))
     assert(run.stats.iterations == 1 && run.stats.activations == 0)
     assert(stages.isEmpty, s"${stages.size} jobs launched")
   }
@@ -163,7 +163,7 @@ class SparkEngineSpec extends SparkSpec {
   test("run leaves the caller's states untouched and adds vertices first reached by a message") {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 2), RawEdge(1, 2, 2)))
     val states = mutable.LongMap(0L -> 7.0)
-    val run = engine.run(SSSP(0), Adjacency.of(g.adjacency(SSSP(0))), states, Seq(0L -> 0.0))
+    val run = engine.run(SSSP(0), g.adjacency(SSSP(0)), states, Seq(0L -> 0.0))
     assert(states == mutable.LongMap(0L -> 7.0))
     assert(run.states == mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0))
   }
@@ -208,7 +208,7 @@ class SparkEngineSpec extends SparkSpec {
     val algo = SSSP(0)
     val states = mutable.LongMap(0L -> 0.0, 1L -> 2.0, 2L -> 4.0)
     // a better path to v1 appears: distance 1
-    val run = engine.run(algo, Adjacency.of(g.adjacency(algo)), states, Seq(1L -> 1.0))
+    val run = engine.run(algo, g.adjacency(algo), states, Seq(1L -> 1.0))
     assert(run.states(1L) == 1.0 && run.states(2L) == 3.0)
   }
 
@@ -216,7 +216,7 @@ class SparkEngineSpec extends SparkSpec {
     val g = GraphGen.random(20, 2.0, 5)
     val algo = SSSP(0)
     val states = mutable.LongMap(0L -> 0.0)
-    val run = engine.run(algo, Adjacency.of(g.adjacency(algo)), states, Nil)
+    val run = engine.run(algo, g.adjacency(algo), states, Nil)
     assert(run.stats.iterations == 0 && run.stats.activations == 0)
   }
 }

@@ -125,7 +125,7 @@ class LayeringSpec extends SparkSpec {
       }
       g.vertices.foreach(v => states(v) = algo.defaultState)
       repl.proxies.foreach(p => states(p.id) = algo.defaultState)
-      val run = LocalEngine.run(algo, Adjacency.of(adj), states, seeds,
+      val run = LocalEngine.run(algo, adj, states, seeds,
         absorbing = algo.absorbing)
       val raw = LocalEngine.batch(algo, g)
       val real = mutable.LongMap.empty[Double]

@@ -18,15 +18,15 @@ class ShortcutSpec extends AnyFunSuite {
   }
 
   /** Rows and L deduced fresh: no memoized row or L, no edge changes. */
-  private def deduceFresh(algo: VCAlgo, adj: Array[Array[(Int, Double)]], entryIdxs: Array[Int],
+  private def deduceFresh(algo: VCAlgo, n: Int, adj: Adjacency, entryIdxs: Array[Int],
                           m0vec: Array[Double]) =
-    Subgraphs.deduce(algo, adj, entryIdxs, entryIdxs.map(_ => Array.empty[Double]), Array.empty, Array.empty, m0vec)
+    Subgraphs.deduce(algo, n, adj, entryIdxs, entryIdxs.map(_ => Array.empty[Double]), Array.empty, Array.empty, m0vec)
 
   test("Example 2: shortcut weights of G2 from entry v0 are {0,1,4,1,2}") {
     val g = GraphGen.figure2
     val algo = SSSP(0)
     val (verts, idx, adj) = structureOf(g, Set(0L, 1L, 2L, 3L, 4L), algo)
-    val (rows, _, _) = deduceFresh(algo, adj, Array(idx(0L)), Array.empty[Double])
+    val (rows, _, _) = deduceFresh(algo, idx.size, adj, Array(idx(0L)), Array.empty[Double])
     val row = rows(0)
     assert(row(idx(0L)) == 0.0)
     assert(row(idx(1L)) == 1.0, "w(v0,v1)")
@@ -41,7 +41,7 @@ class ShortcutSpec extends AnyFunSuite {
     g.applyDelta(GraphGen.figure2Delta)
     val algo = SSSP(0)
     val (_, idx, adj) = structureOf(g, Set(0L, 1L, 2L, 3L, 4L), algo)
-    val (rows, _, _) = deduceFresh(algo, adj, Array(idx(0L)), Array.empty[Double])
+    val (rows, _, _) = deduceFresh(algo, idx.size, adj, Array(idx(0L)), Array.empty[Double])
     val row = rows(0)
     assert(row(idx(1L)) == 1.0 && row(idx(2L)) == 3.0 && row(idx(3L)) == 1.0 && row(idx(4L)) == 4.0)
   }
@@ -50,7 +50,7 @@ class ShortcutSpec extends AnyFunSuite {
     val g = GraphGen.figure2
     val algo = SSSP(0)
     val (_, idx, adj) = structureOf(g, Set(5L, 6L, 7L, 8L), algo)
-    val (rows, _, _) = deduceFresh(algo, adj, Array(idx(5L)), Array.empty[Double])
+    val (rows, _, _) = deduceFresh(algo, idx.size, adj, Array(idx(5L)), Array.empty[Double])
     val row = rows(0)
     assert(row(idx(6L)) == 1.0 && row(idx(7L)) == 2.0 && row(idx(8L)) == 2.0)
   }
@@ -62,7 +62,7 @@ class ShortcutSpec extends AnyFunSuite {
       val members = g.vertices // whole graph as one "subgraph"
       val (verts, idx, adj) = structureOf(g, members, algo)
       val entry = verts(seed % verts.length)
-      val (rows, _, _) = deduceFresh(algo, adj, Array(idx(entry)), Array.empty[Double])
+      val (rows, _, _) = deduceFresh(algo, idx.size, adj, Array(idx(entry)), Array.empty[Double])
       val dist = RefAlgos.dijkstra(g, entry)
       verts.foreach { v =>
         assert(math.abs(rows(0)(idx(v)) - dist(v)) < 1e-9 || (rows(0)(idx(v)).isInfinite && dist(v).isInfinite),
@@ -78,13 +78,13 @@ class ShortcutSpec extends AnyFunSuite {
       val (verts, idx, adj) = structureOf(g, g.vertices, algo)
       val entry = verts(seed % verts.length)
       val e = idx(entry)
-      val (rows, _, _) = deduceFresh(algo, adj, Array(e), Array.empty[Double])
+      val (rows, _, _) = deduceFresh(algo, idx.size, adj, Array(e), Array.empty[Double])
       val row = rows(0)
       // w(e,v) = [v == e] + sum_u w(e,u) * A(u,v)  — all paths, split on last edge
       val expect = Array.fill(verts.length)(0.0)
       expect(e) = 1.0
       verts.indices.foreach { u =>
-        adj(u).foreach { case (v, w) => expect(v) += row(u) * w }
+        adj.row(u).foreach { case (v, w) => expect(v.toInt) += row(u) * w }
       }
       verts.indices.foreach { j =>
         assert(math.abs(row(j) - expect(j)) < 1e-6, s"fixed point at local $j")
@@ -94,11 +94,11 @@ class ShortcutSpec extends AnyFunSuite {
       val g = GraphGen.random(25, 2.5, seed * 73)
       val algo = PageRank(eps = 1e-12)
       val (verts, idx, adj) = structureOf(g, g.vertices, algo)
-      val (_, lvec, _) = deduceFresh(algo, adj, Array.empty, Array.fill(verts.length)(1.0 - 0.85))
+      val (_, lvec, _) = deduceFresh(algo, verts.length, adj, Array.empty, Array.fill(verts.length)(1.0 - 0.85))
       // L(v) = m0 + sum_u L(u) * A(u,v)
       val expect = Array.fill(verts.length)(1.0 - 0.85)
       verts.indices.foreach { u =>
-        adj(u).foreach { case (v, w) => expect(v) += lvec(u) * w }
+        adj.row(u).foreach { case (v, w) => expect(v.toInt) += lvec(u) * w }
       }
       verts.indices.foreach { j =>
         assert(math.abs(lvec(j) - expect(j)) < 1e-5, s"L fixed point at local $j")
@@ -109,7 +109,7 @@ class ShortcutSpec extends AnyFunSuite {
   test("shortcut computation reports its activations") {
     val g = GraphGen.figure2
     val (_, idx, adj) = structureOf(g, Set(0L, 1L, 2L, 3L, 4L), SSSP(0))
-    val (_, _, acts) = deduceFresh(SSSP(0), adj, Array(idx(0L)), Array.empty[Double])
+    val (_, _, acts) = deduceFresh(SSSP(0), idx.size, adj, Array(idx(0L)), Array.empty[Double])
     assert(acts > 0)
   }
 }
