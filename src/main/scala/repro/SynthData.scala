@@ -62,7 +62,7 @@ object SynthData {
       (rand(seed + 3) * nV).cast(LongType) as "src",
       (rand(seed + 4) * nComm).cast(LongType) as "tc",
       col("id"),
-    ).crossJoin(spark.range(0, burstFan.toLong, 1, Slices).toDF("j")).select(
+    ).crossJoin(spark.range(0, burstFan.toLong, 1, Slices).select(col("id") as "j")).select(
       col("src"),
       (col("tc") * commSize +
         (rand(seed + 5) * commSize).cast(LongType)) as "dst",

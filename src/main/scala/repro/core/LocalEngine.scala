@@ -7,10 +7,9 @@ final case class RunStats(
     iterations: Int,
     activations: Long,
     wallMs: Long,
-    phases: Seq[(String, Long)] = Nil,
 ) {
   def +(o: RunStats): RunStats =
-    RunStats(iterations + o.iterations, activations + o.activations, wallMs + o.wallMs, phases ++ o.phases)
+    RunStats(iterations + o.iterations, activations + o.activations, wallMs + o.wallMs)
 }
 
 final case class LocalRun(states: mutable.LongMap[Double], stats: RunStats)

@@ -137,14 +137,19 @@ final class LayphEngine(
 
   // ---------------------------------------------------------------- offline
 
+  /** The offline phase, entirely over the driver-held graph: community
+    * detection on its edges ([[Community.detectMap]]), Definition-2
+    * selection, replication, roles and every shortcut row, then phases 2-4
+    * from an empty memo.
+    */
   def initialize(g0: GraphState, a: VCAlgo): SparkRun = {
     val t0 = System.nanoTime()
     g = g0.copyGraph(); algo = a; minPlus = algo.kind == MinPlus
 
-    // dense subgraph discovery: candidates from Community.detectMap (capped
-    // LPA + fragment merge), then Definition 2
+    // dense subgraph discovery over the driver's own edges: candidates from
+    // Community.detectMap (capped LPA + fragment merge), then Definition 2
     val cand = cfg.fixedMembership.getOrElse(
-      Community.detectMap(spark, g.toDF(spark), cfg.lpaRounds, cfg.maxCommunitySize))
+      Community.detectMap(g.edges, cfg.lpaRounds, cfg.maxCommunitySize))
     val protectedVerts = algo.roots.getOrElse(Set.empty) ++ algo.absorbing
     memb = Layering.selectDense(g, cand, cfg, protectedVerts)
     numSg = if (memb.isEmpty) 0 else memb.values.max + 1
@@ -206,7 +211,7 @@ final class LayphEngine(
     }
     if (effective.isEmpty) {
       lastPhases = Seq("layer_update" -> 0L, "upload" -> 0L, "upper_iteration" -> 0L, "assignment" -> 0L)
-      return SparkRun(resultStates, RunStats(0, 0, (System.nanoTime() - t0) / 1000000, lastPhases))
+      return SparkRun(resultStates, RunStats(0, 0, (System.nanoTime() - t0) / 1000000))
     }
 
     // ---- phase 1: layered graph update ------------------------------------
@@ -431,7 +436,7 @@ final class LayphEngine(
     SparkRun(resultStates,
       RunStats(upperStats.iterations,
         shortcutActs + uploadActs + upperStats.activations + assignActs,
-        (System.nanoTime() - t0) / 1000000, lastPhases))
+        (System.nanoTime() - t0) / 1000000))
   }
 
   // ------------------------------------------------------------------ parts

@@ -1,6 +1,8 @@
 package repro.layph
 
+import org.apache.spark.sql.functions.{col, hash, lit, pmod, when}
 import repro.{SparkSpec, SynthData}
+import repro.core.RawEdge
 
 class CommunitySpec extends SparkSpec {
 
@@ -55,5 +57,27 @@ class CommunitySpec extends SparkSpec {
     val m = Community.detectMap(spark, plantedGraph, rounds = 4, maxSize = 200)
     val ids = m.values.toSet
     assert(ids == (0L until ids.size).toSet)
+  }
+
+  test("the cap split is Spark SQL's pmod(hash(v), parts)") {
+    import spark.implicits._
+    val ids = Seq(0L, 1L, -1L, -42L, Int.MaxValue.toLong, 1L << 31, (1L << 31) + 7, 3000000019L,
+      1L << 40, (1L << 40) + 5, (1L << 41) + 1, Long.MinValue, Long.MaxValue)
+    Seq(1L, 2L, 3L, 7L, 1102L).foreach { parts =>
+      val sql = ids.toDF("v").select(col("v"),
+        when(lit(parts) <= 1, lit(0L)).otherwise(pmod(hash(col("v")).cast("long"), lit(parts))))
+        .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+      assert(ids.map(v => v -> Community.part(v, parts)).toMap == sql, s"parts = $parts")
+    }
+  }
+
+  test("a vote tie goes to the smallest label, whatever the edge order") {
+    // 5 and 9 each see one vote for 5 and one for 9, so both take 5; the
+    // pair {7, 8} takes 7, which ranks it after {5, 9}. Had the tie gone to
+    // the larger label, {7, 8} (label 8) would rank before {5, 9} (label 9)
+    val edges = Seq(RawEdge(5, 9, 1.0), RawEdge(8, 7, 1.0), RawEdge(7, 8, 1.0), RawEdge(5, 5, 1.0))
+    val want = Map(5L -> 0L, 9L -> 0L, 7L -> 1L, 8L -> 1L)
+    assert(Community.detectMap(edges.iterator, rounds = 6, maxSize = 200) == want)
+    assert(Community.detectMap(edges.reverseIterator, rounds = 6, maxSize = 200) == want)
   }
 }
