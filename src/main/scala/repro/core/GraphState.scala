@@ -7,16 +7,49 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 final case class RawEdge(src: Long, dst: Long, w: Double)
 
 /** A unit update of Section II-B: insertion or deletion of a single edge.
-  * Weight modifications are encoded as delete + add, as in the paper.
+  * A weight change is a deletion plus an insertion, as in the paper, or an
+  * insertion over the existing edge; either nets to one [[EdgeDiff]].
   */
 final case class EdgeUpdate(src: Long, dst: Long, w: Double, isAdd: Boolean)
 
 /** A batch of input changes ΔG. */
 final case class GraphDelta(updates: Seq[EdgeUpdate]) {
   def size: Int = updates.size
-  /** Vertices incident to any unit update. */
-  def touchedVertices: Set[Long] =
-    updates.iterator.flatMap(u => Iterator(u.src, u.dst)).toSet
+}
+
+/** The net change of one algorithm-weighted edge over a batch: its weight
+  * before (`wOld`) and after (`wNew`), an absent edge weighing the
+  * semiring's `zero` (+∞ for MinPlus, 0 for SumTimes). A finite MinPlus
+  * `wOld` is a cancellation, a finite `wNew` a compensation; a SumTimes
+  * diff revises by `x_src * (wNew - wOld)`. Every system turns ΔG into
+  * revision messages from these alone.
+  */
+final case class EdgeDiff(src: Long, dst: Long, wOld: Double, wNew: Double)
+
+object EdgeDiff {
+
+  /** Diffs of the out-rows of `srcs` between `before` and `after`, per
+    * source in `srcs` order, then in `before`'s row order, then the
+    * targets new in `after`. A target absent from a row weighs `none`.
+    */
+  def rows(
+      srcs: Seq[Long],
+      before: Long => Array[(Long, Double)],
+      after: Long => Array[(Long, Double)],
+      none: Double,
+  ): Seq[EdgeDiff] = {
+    val out = Seq.newBuilder[EdgeDiff]
+    srcs.foreach { u =>
+      val row = after(u)
+      val now = mutable.LongMap.from(row)
+      before(u).foreach { case (v, wo) =>
+        val wn = now.remove(v).getOrElse(none)
+        if (wo != wn) out += EdgeDiff(u, v, wo, wn)
+      }
+      row.foreach { case (v, wn) => if (now.contains(v) && wn != none) out += EdgeDiff(u, v, none, wn) }
+    }
+    out.result()
+  }
 }
 
 /** Mutable driver-side topology of the evolving graph.
@@ -51,32 +84,31 @@ final class GraphState private (
     out.getOrElseUpdate(u, mutable.LongMap.empty).update(v, w)
   }
 
-  def removeEdge(u: Long, v: Long): Boolean =
-    out.get(u).exists { m => val had = m.remove(v).isDefined; had }
+  def removeEdge(u: Long, v: Long): Unit = out.get(u).foreach(_.remove(v))
 
-  /** Applies ΔG in order; returns the updates that actually changed the
-    * graph (an add of an existing identical edge or a delete of a missing
-    * edge is a no-op and must not trigger revision messages). Inserting
-    * over an existing edge is a weight change and is reported as
-    * delete(old) + add(new), as Section II-B prescribes — the deletion half
-    * is what lets dependency-tree engines invalidate stale support.
+  /** Vertices that ΔG's insertions add to the graph (a deletion adds none). */
+  def newVertices(delta: GraphDelta): Set[Long] =
+    delta.updates.iterator.filter(_.isAdd).flatMap(u => Iterator(u.src, u.dst)).filterNot(verts.contains).toSet
+
+  /** Applies ΔG's unit updates in order: an insertion sets the edge's
+    * weight, a deletion removes the edge if it is there.
     */
-  def applyDelta(delta: GraphDelta): Seq[EdgeUpdate] = {
-    val effective = Seq.newBuilder[EdgeUpdate]
-    delta.updates.foreach { up =>
-      if (up.isAdd) {
-        val old = weight(up.src, up.dst)
-        if (!old.contains(up.w)) {
-          old.foreach(ow => effective += EdgeUpdate(up.src, up.dst, ow, isAdd = false))
-          addEdge(up.src, up.dst, up.w)
-          effective += up
-        }
-      } else {
-        val old = weight(up.src, up.dst)
-        if (old.isDefined && removeEdge(up.src, up.dst)) effective += up.copy(w = old.get)
-      }
-    }
-    effective.result()
+  def applyDelta(delta: GraphDelta): Unit =
+    delta.updates.foreach(up => if (up.isAdd) addEdge(up.src, up.dst, up.w) else removeEdge(up.src, up.dst))
+
+  /** Applies ΔG and returns its net effect as `algo`-weighted [[EdgeDiff]]s:
+    * the weighted rows of the batch's sources before and after it, diffed
+    * with [[EdgeDiff.rows]]. A pair added and then deleted, or added twice,
+    * nets out; an update that leaves a weighted weight as it was (a
+    * duplicate insertion, a deletion of a missing edge, a BFS weight
+    * change) yields nothing; a degree change at a source of PageRank or
+    * PHP revises its whole row.
+    */
+  def applyDelta(delta: GraphDelta, algo: VCAlgo): Seq[EdgeDiff] = {
+    val srcs = delta.updates.map(_.src).distinct
+    val before = srcs.iterator.map(u => u -> weightedRow(u, algo)).toMap
+    applyDelta(delta)
+    EdgeDiff.rows(srcs, before, weightedRow(_, algo), algo.zero)
   }
 
   /** Algorithm-weighted out-row of u: [(v, F-weight of (u,v))] from the raw

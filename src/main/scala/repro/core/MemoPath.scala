@@ -78,9 +78,6 @@ object MemoPath {
     out.toSet
   }
 
-  /** Structural change to the propagation graph, already algo-weighted. */
-  final case class EdgeChange(src: Long, dst: Long, w: Double, isAdd: Boolean)
-
   final case class IncResult(
       states: mutable.LongMap[Double],
       parents: mutable.LongMap[Long],
@@ -88,9 +85,14 @@ object MemoPath {
   )
 
   /** One incremental MinPlus round: invalidate, reseed, propagate, re-memoize.
+    * A diff with a finite `wOld` over `dst`'s memoized parent edge makes
+    * `dst` unsafe; a diff with a finite `wNew` seeds a compensation
+    * message over the new weight.
     *
     * @param adj          updated forward adjacency
     * @param radj         updated reverse adjacency (for reseeding pulls)
+    * @param diffs        net weighted edge diffs of the batch, as
+    *                     [[GraphState.applyDelta]] returns them
     * @param conservative invalidate the forward-reachable region instead of
     *                     the exact tree subtree (KickStarter's trimming)
     * @param extraInvalid additional vertices to invalidate (Layph: skeleton
@@ -105,7 +107,7 @@ object MemoPath {
       radj: Adjacency,
       states: mutable.LongMap[Double],
       parents: mutable.LongMap[Long],
-      changes: Seq[EdgeChange],
+      diffs: Seq[EdgeDiff],
       conservative: Boolean = false,
       extraInvalid: Set[Long] = Set.empty,
       extraSeeds: Seq[(Long, Double)] = Nil,
@@ -114,8 +116,8 @@ object MemoPath {
     var pullActs = 0L
 
     // 1. vertices whose memoized support disappeared
-    val unsafe = changes.iterator
-      .filter(c => !c.isAdd && parents.get(c.dst).contains(c.src))
+    val unsafe = diffs.iterator
+      .filter(d => d.wOld.isFinite && parents.get(d.dst).contains(d.src))
       .map(_.dst)
       .toSet ++ extraInvalid
 
@@ -140,7 +142,7 @@ object MemoPath {
     invalid.foreach(v => states(v) = algo.defaultState)
 
     // 3. reseed: pull surviving candidates into invalidated vertices,
-    //    push compensation messages over inserted edges
+    //    push compensation messages over inserted or lightened edges
     val seeds = mutable.LongMap.empty[Double]
     def offer(v: Long, m: Double): Unit =
       seeds.updateWith(v) { case Some(a) => Some(algo.agg(a, m)); case None => Some(m) }
@@ -154,10 +156,10 @@ object MemoPath {
         }
       }
     }
-    changes.foreach { c =>
-      if (c.isAdd && !invalid.contains(c.dst)) {
-        val xu = states.getOrElse(c.src, algo.defaultState)
-        if (xu.isFinite) { pullActs += 1; offer(c.dst, algo.gen(xu, c.w)) }
+    diffs.foreach { d =>
+      if (d.wNew.isFinite && !invalid.contains(d.dst)) {
+        val xu = states.getOrElse(d.src, algo.defaultState)
+        if (xu.isFinite) { pullActs += 1; offer(d.dst, algo.gen(xu, d.wNew)) }
       }
     }
     extraSeeds.foreach { case (v, m) => offer(v, m) }

@@ -9,31 +9,24 @@ import repro.core._
   */
 object Revision {
 
-  /** SumTimes revision deltas (Ingress's memoization-free scheme): for each
-    * changed source u, every target whose effective weight moved receives
-    * `x_u * (w_new - w_old)` — cancellation when negative, compensation
-    * when positive. Degree-dependent weights (PageRank's d/N_u) make a
-    * single structural change revise u's whole out-row, which is faithfully
-    * reproduced here.
+  /** SumTimes revision deltas (Ingress's memoization-free scheme): each net
+    * weighted edge diff (u, v) sends `x_u * (w_new - w_old)` to v —
+    * cancellation when negative, compensation when positive — summed per
+    * target. Degree-dependent weights (PageRank's d/N_u) make a single
+    * structural change diff u's whole out-row ([[GraphState.applyDelta]]),
+    * which is faithfully reproduced here. Absorbing targets receive nothing.
     */
   def sumSeeds(
-      oldRows: Map[Long, Map[Long, Double]],
-      newRows: Map[Long, Map[Long, Double]],
+      diffs: Seq[EdgeDiff],
       states: mutable.LongMap[Double],
       absorbing: Set[Long],
   ): Seq[(Long, Double)] = {
     val seeds = mutable.LongMap.empty[Double]
-    (oldRows.keySet ++ newRows.keySet).foreach { u =>
-      val xu = states.getOrElse(u, 0.0)
-      if (xu != 0.0) {
-        val o = oldRows.getOrElse(u, Map.empty)
-        val n = newRows.getOrElse(u, Map.empty)
-        (o.keySet ++ n.keySet).foreach { v =>
-          if (!absorbing.contains(v)) {
-            val d = xu * (n.getOrElse(v, 0.0) - o.getOrElse(v, 0.0))
-            if (d != 0.0) seeds.updateWith(v) { c => Some(c.getOrElse(0.0) + d) }
-          }
-        }
+    diffs.foreach { d =>
+      val xu = states.getOrElse(d.src, 0.0)
+      if (xu != 0.0 && !absorbing.contains(d.dst)) {
+        val m = xu * (d.wNew - d.wOld)
+        if (m != 0.0) seeds.updateWith(d.dst) { c => Some(c.getOrElse(0.0) + m) }
       }
     }
     seeds.toSeq
@@ -75,16 +68,12 @@ class SumIncSystem(
 
   def update(delta: GraphDelta): SparkRun = {
     val t0 = System.nanoTime()
-    val touched = delta.updates.map(_.src).distinct
-    val oldRows = touched.map(u => u -> g.weightedRow(u, algo).toMap).toMap
-    val newVerts = delta.touchedVertices.filterNot(g.verts.contains)
-    val effective = g.applyDelta(delta)
-    delta.touchedVertices.foreach(v => if (!states.contains(v)) states(v) = algo.defaultState)
-    if (effective.isEmpty)
+    val newVerts = g.newVertices(delta)
+    val diffs = g.applyDelta(delta, algo)
+    newVerts.foreach(v => states(v) = algo.defaultState)
+    if (diffs.isEmpty && newVerts.isEmpty)
       return SparkRun(states, RunStats(0, 0, (System.nanoTime() - t0) / 1000000))
-    val srcs = effective.map(_.src).toSet
-    val newRows = srcs.map(u => u -> g.weightedRow(u, algo).toMap).toMap
-    val seeds = Revision.sumSeeds(oldRows.view.filterKeys(srcs).toMap, newRows, states, algo.absorbing) ++
+    val seeds = Revision.sumSeeds(diffs, states, algo.absorbing) ++
       // vertices that joined the graph carry fresh root messages M0
       (if (algo.roots.isEmpty) newVerts.toSeq.map(v => v -> algo.initMsg(v)) else Nil)
     val run = engine.run(algo, g.adjacency(algo), states, seeds,
@@ -101,11 +90,14 @@ class SumIncSystem(
   * @param conservative   invalidate the forward-reachable region instead of
   *                       the exact tree subtree (KickStarter's trimming)
   * @param insertRounds   process insertions in this many sequential rounds
-  *                       (RisGraph's per-update pipeline; deletions are
-  *                       always handled in the first round so invalidation
-  *                       stays sound)
+  *                       (RisGraph's per-update pipeline). Each net diff
+  *                       splits into its deletion half (`wNew` = +∞) and
+  *                       its insertion half (`wOld` = +∞); every deletion
+  *                       half goes in the first round so invalidation stays
+  *                       sound, and the insertion halves are chunked
   * @param classifyCost   count a per-update safe/unsafe classification scan
-  *                       (RisGraph)
+  *                       (RisGraph): one per half, plus one per deletion
+  *                       half off the memoized tree
   */
 class MinIncSystem(
     val name: String,
@@ -132,37 +124,32 @@ class MinIncSystem(
 
   def update(delta: GraphDelta): SparkRun = {
     val t0 = System.nanoTime()
-    val effective = g.applyDelta(delta)
-    delta.touchedVertices.foreach(v => if (!states.contains(v)) states(v) = algo.defaultState)
-    var classifyActs = 0L
-    if (effective.isEmpty)
+    val newVerts = g.newVertices(delta)
+    val diffs = g.applyDelta(delta, algo)
+    newVerts.foreach(v => states(v) = algo.defaultState)
+    if (diffs.isEmpty && newVerts.isEmpty)
       return SparkRun(states, RunStats(0, 0, (System.nanoTime() - t0) / 1000000))
 
-    def toChange(u: EdgeUpdate): MemoPath.EdgeChange =
-      MemoPath.EdgeChange(u.src, u.dst, algo.edgeWeight(u.w, 1, u.w), u.isAdd)
+    val dels = diffs.collect { case d if d.wOld.isFinite => d.copy(wNew = algo.zero) }
+    val adds = diffs.collect { case d if d.wNew.isFinite => d.copy(wOld = algo.zero) }
+    // RisGraph checks each half against the memoized tree/value
+    val classifyActs =
+      if (!classifyCost) 0L
+      else (dels.size + adds.size + dels.count(d => !parents.get(d.dst).contains(d.src))).toLong
 
-    val (adds, dels) = effective.partition(_.isAdd)
-    if (classifyCost) {
-      // RisGraph checks each unit update against the memoized tree/value
-      classifyActs += effective.size
-      dels.foreach { d => if (!parents.get(d.dst).contains(d.src)) classifyActs += 1 }
-    }
-
-    val rounds: Seq[Seq[MemoPath.EdgeChange]] =
-      if (insertRounds <= 1) Seq((dels ++ adds).map(toChange))
+    val rounds: Seq[Seq[EdgeDiff]] =
+      if (insertRounds <= 1) Seq(diffs)
       else {
-        val chunks = if (adds.isEmpty) Seq(Seq.empty[EdgeUpdate])
+        val chunks = if (adds.isEmpty) Seq(Seq.empty[EdgeDiff])
           else adds.grouped(math.max(1, math.ceil(adds.size.toDouble / insertRounds).toInt)).toSeq
-        chunks.zipWithIndex.map { case (c, i) =>
-          (if (i == 0) dels.map(toChange) else Nil) ++ c.map(toChange)
-        }
+        chunks.zipWithIndex.map { case (c, i) => (if (i == 0) dels else Nil) ++ c }
       }
 
     val adj = g.adjacency(algo)
     val radj = adj.reverse
     var total = RunStats(0, classifyActs, 0)
-    rounds.foreach { changes =>
-      val r = MemoPath.incremental(algo, engine, adj, radj, states, parents, changes,
+    rounds.foreach { ds =>
+      val r = MemoPath.incremental(algo, engine, adj, radj, states, parents, ds,
         conservative = conservative)
       states = r.states; parents = r.parents
       total = total + r.stats

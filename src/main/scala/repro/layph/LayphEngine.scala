@@ -4,6 +4,7 @@ import scala.collection.mutable
 import scala.reflect.ClassTag
 import org.apache.spark.sql.SparkSession
 import repro.core._
+import repro.ingress.Revision
 
 /** Layph (ICDE'23): two-layered incremental graph processing.
   *
@@ -58,9 +59,6 @@ final class LayphEngine(
   private var states: mutable.LongMap[Double] = _
   private var skelAdj: Adjacency = _
   private var upperParents: mutable.LongMap[Long] = _
-
-  /** An effective-edge weight diff (u, v, wOld, wNew). */
-  private type Diff = (Long, Long, Double, Double)
 
   /** One-off layered-graph construction cost (Figure 11b). */
   var offlinePreprocessMs: Long = 0
@@ -186,57 +184,42 @@ final class LayphEngine(
     repl.proxies.foreach(p => states(p.id) = algo.defaultState)
     upperParents = mutable.LongMap.empty[Long]
     propagate(t0, "layered_construction" -> offlinePreprocessMs, shortcutActs,
-      affected = (0 until numSg).toSet, crossDiffs = Nil, oldRowsBySg = Map.empty,
+      affected = (0 until numSg).toSet, crossDiffs = Nil, oldShortcuts = Map.empty,
       newBoundary = Set.empty, fresh = g.vertices)
   }
 
   // ------------------------------------------------------------ incremental
 
+  /** One incremental round. ΔG's net raw diffs ([[GraphState.applyDelta]])
+    * name the effective sources whose rows can change: for a raw diff
+    * (u, v), u itself, u's entry proxies, and the exit proxy that routes
+    * u -> v out of u's subgraph. Their rows in the old and the rebuilt
+    * `effAdj` are diffed with [[EdgeDiff.rows]]; diffs inside a subgraph
+    * revise its shortcuts (phase 1), and cross diffs go to the upper layer.
+    */
   def update(delta: GraphDelta): SparkRun = {
     val t0 = System.nanoTime()
-
-    def effSources(u: Long): Seq[Long] =
-      u +: hostInProxies.getOrElse(u, Nil).map(_._2)
-
-    // snapshot pre-update effective rows of every possibly-affected source
-    val rawSrcs = delta.updates.map(_.src).distinct
-    val touchedEff = rawSrcs.flatMap(effSources).distinct
-    val oldRows: Map[Long, Map[Long, Double]] =
-      touchedEff.map(u => u -> effAdj.row(u).toMap).toMap
-
-    val newVerts = delta.touchedVertices.filterNot(g.verts.contains)
-    val effective = g.applyDelta(delta)
-    delta.touchedVertices.foreach { v =>
-      if (!states.contains(v)) states(v) = algo.defaultState
-    }
-    if (effective.isEmpty) {
+    val newVerts = g.newVertices(delta)
+    val raw = g.applyDelta(delta, algo)
+    newVerts.foreach(v => states(v) = algo.defaultState)
+    if (raw.isEmpty && newVerts.isEmpty) {
       lastPhases = Seq("layer_update" -> 0L, "upload" -> 0L, "upper_iteration" -> 0L, "assignment" -> 0L)
       return SparkRun(resultStates, RunStats(0, 0, (System.nanoTime() - t0) / 1000000))
     }
 
     // ---- phase 1: layered graph update ------------------------------------
     val tA0 = System.nanoTime()
+    val srcs = raw.flatMap { d =>
+      d.src +: (hostInProxies.getOrElse(d.src, Nil).map(_._2) ++
+        memb.get(d.src).flatMap(i => repl.outProxy.get((d.dst, i))))
+    }.distinct
+    val oldEff = effAdj
     effAdj = Layering.effectiveAdjacency(g, algo, memb, repl)
-
-    // effective weighted diffs per touched source
-    val diffs = mutable.ArrayBuffer.empty[Diff]
-    val noW = if (minPlus) Double.PositiveInfinity else 0.0
-    effective.map(_.src).distinct.flatMap(effSources).distinct.foreach { u =>
-      val o = oldRows.getOrElse(u, Map.empty)
-      val n = effAdj.row(u).toMap
-      (o.keySet ++ n.keySet).foreach { v =>
-        val wo = o.getOrElse(v, noW); val wn = n.getOrElse(v, noW)
-        if (wo != wn) diffs += ((u, v, wo, wn))
-      }
-    }
+    val diffs = EdgeDiff.rows(srcs, oldEff.row, effAdj.row, algo.zero)
 
     // a subgraph with a diff inside E_i is affected
-    val crossDiffs = mutable.ArrayBuffer.empty[Diff]
-    val sgChanges = mutable.Map.empty[Int, mutable.ArrayBuffer[Diff]]
-    diffs.foreach { case d @ (u, v, _, _) =>
-      if (sameSg(u, v)) sgChanges.getOrElseUpdate(memb(u), mutable.ArrayBuffer.empty) += d
-      else crossDiffs += d
-    }
+    val (inner, crossDiffs) = diffs.partition(d => sameSg(d.src, d.dst))
+    val sgChanges = inner.groupBy(d => memb(d.src))
 
     // role growth (monotone): new entries get empty shortcut rows, deduced
     // below; new exits and new entries gain skeleton shortcut links after
@@ -264,13 +247,13 @@ final class LayphEngine(
       val (verts, idx, adj) = Subgraphs.structure(i, sg.verts, effAdj, memb)
       sgs(i) = sg.copy(verts = verts, idx = idx, adj = adj)
     }
-    val oldRowsBySg = sgChanges.keysIterator.map(i => i -> ((sgs(i).entries, sgs(i).rows, sgs(i).idx))).toMap
-    val shortcutActs = deduceShortcuts(sgChanges.view.mapValues(_.toArray).toMap)
+    val oldShortcuts = sgChanges.keysIterator.map(i => i -> ((sgs(i).entries, sgs(i).rows, sgs(i).idx))).toMap
+    val shortcutActs = deduceShortcuts(sgChanges)
     skelAdj = buildSkeleton()
     val tAMs = (System.nanoTime() - tA0) / 1000000
 
-    propagate(t0, "layer_update" -> tAMs, shortcutActs, sgChanges.keySet.toSet, crossDiffs.toSeq,
-      oldRowsBySg, newBoundary.toSet, newVerts)
+    propagate(t0, "layer_update" -> tAMs, shortcutActs, sgChanges.keySet, crossDiffs,
+      oldShortcuts, newBoundary.toSet, newVerts)
   }
 
   /** Phases 2-4 (upload, upper iteration, assignment) over the layered
@@ -279,9 +262,8 @@ final class LayphEngine(
     * @param phase1      name and wall ms of the phase that built the layers
     * @param affected    subgraphs whose E_i changed: their boundary states
     *                    are re-uploaded and they are assigned in full
-    * @param crossDiffs  effective cross-edge diffs (u, v, wOld, wNew); the
-    *                    no-edge weight is the semiring zero-weight
-    * @param oldRowsBySg (entries, rows, idx) of the subgraphs whose MinPlus
+    * @param crossDiffs  effective cross-edge diffs
+    * @param oldShortcuts (entries, rows, idx) of the subgraphs whose MinPlus
     *                    shortcut diffs are uploaded, as before phase 1
     * @param newBoundary vertices that joined a subgraph's boundary in phase 1
     * @param fresh       vertices new to the memo; the outlier roots among
@@ -292,8 +274,8 @@ final class LayphEngine(
       phase1: (String, Long),
       shortcutActs: Long,
       affected: Set[Int],
-      crossDiffs: Seq[Diff],
-      oldRowsBySg: Map[Int, (Array[Long], Array[Array[Double]], Map[Long, Int])],
+      crossDiffs: Seq[EdgeDiff],
+      oldShortcuts: Map[Int, (Array[Long], Array[Array[Double]], Map[Long, Int])],
       newBoundary: Set[Long],
       fresh: Iterable[Long],
   ): SparkRun = {
@@ -308,13 +290,9 @@ final class LayphEngine(
     var tCMs = 0L
 
     if (minPlus) {
-      val changes = mutable.ArrayBuffer.empty[MemoPath.EdgeChange]
-      crossDiffs.foreach { case (u, v, wo, wn) =>
-        if (wo.isFinite) changes += MemoPath.EdgeChange(u, v, wo, isAdd = false)
-        if (wn.isFinite) changes += MemoPath.EdgeChange(u, v, wn, isAdd = true)
-      }
+      val changes = mutable.ArrayBuffer.from(crossDiffs)
       // shortcut weight diffs of affected subgraphs (upload, Eq. 7)
-      oldRowsBySg.foreach { case (i, (oldEnt, oldR, oldIdx)) =>
+      oldShortcuts.foreach { case (i, (oldEnt, oldR, oldIdx)) =>
         val sg = sgs(i)
         val bnd = boundaryOf(i)
         sg.entries.indices.foreach { k =>
@@ -326,11 +304,7 @@ final class LayphEngine(
               val wo =
                 if (ko >= 0 && oldR(ko).nonEmpty && oldIdx.contains(b)) oldR(ko)(oldIdx(b))
                 else Double.PositiveInfinity
-              if (wo != wn) {
-                uploadActs += 1
-                if (wo.isFinite) changes += MemoPath.EdgeChange(e, b, wo, isAdd = false)
-                if (wn.isFinite) changes += MemoPath.EdgeChange(e, b, wn, isAdd = true)
-              }
+              if (wo != wn) { uploadActs += 1; changes += EdgeDiff(e, b, wo, wn) }
             }
           }
         }
@@ -368,13 +342,7 @@ final class LayphEngine(
       // upload the change of their decomposition on the interior node (Eq. 7)
       val seeds = mutable.ArrayBuffer.empty[(Long, Double)]
       m0.foreach { case (v, m) => seeds += ((inN(v), m)) }
-      crossDiffs.foreach { case (u, v, wo, wn) =>
-        if (!algo.absorbing.contains(v)) {
-          val xu = states.getOrElse(u, 0.0)
-          val d = xu * (wn - wo)
-          if (d != 0.0) seeds += ((inN(v), d))
-        }
-      }
+      seeds ++= Revision.sumSeeds(crossDiffs, states, algo.absorbing).map { case (v, d) => (inN(v), d) }
       affected.foreach { i =>
         val sg = sgs(i)
         boundaryOf(i).foreach { b =>
@@ -447,7 +415,7 @@ final class LayphEngine(
     * or every entry offline) and an empty L. Stores the results and
     * returns the activations spent.
     */
-  private def deduceShortcuts(changesBySg: Map[Int, Array[Diff]]): Long = {
+  private def deduceShortcuts(changesBySg: Map[Int, Seq[EdgeDiff]]): Long = {
     val a = algo
     val payload = (0 until numSg).flatMap { i =>
       val sg = sgs(i)
@@ -459,9 +427,9 @@ final class LayphEngine(
         val m0vec =
           if (a.roots.isEmpty) sg.verts.map(v => if (repl.isProxy(v)) 0.0 else a.initMsg(v))
           else Array.empty[Double]
-        val local = changes.getOrElse(Array.empty).collect {
-          case (u, v, wo, wn) if sg.idx.contains(u) && sg.idx.contains(v) => (sg.idx(u), sg.idx(v), wo, wn)
-        }
+        val local = changes.getOrElse(Nil).collect {
+          case d if sg.idx.contains(d.src) && sg.idx.contains(d.dst) => (sg.idx(d.src), sg.idx(d.dst), d.wOld, d.wNew)
+        }.toArray
         Some((i, ks, sg.verts.length, sg.adj, ks.map(k => sg.idx(sg.entries(k))), ks.map(sg.rows), sg.lvec,
           local, m0vec))
       }

@@ -48,6 +48,34 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  // Graph 0->1 (1), 1->4 (2), 4->2 (3), 0->3 (1): x2 = 6 (3 hops) through
+  // 1. A batch that inserts 3->2 and then deletes or overwrites it must not
+  // leave the superseded insertion's compensation (x2 = 2) behind.
+  private def memoSystems = Seq(
+    () => new IngressEngine(spark, 4),
+    () => new KickStarterEngine(spark, 4),
+    () => new RisGraphEngine(spark, 4))
+  private val netCases = Seq(
+    ("a pair added and deleted in one batch seeds nothing",
+      Seq(EdgeUpdate(3, 2, 1.0, isAdd = true), EdgeUpdate(3, 2, 0.0, isAdd = false)), 6.0),
+    ("a pair added twice in one batch seeds only its last weight",
+      Seq(EdgeUpdate(3, 2, 1.0, isAdd = true), EdgeUpdate(3, 2, 4.0, isAdd = true)), 5.0))
+
+  for (mkSys <- memoSystems; algoName <- Seq("SSSP", "BFS"); (what, ups, x2) <- netCases) {
+    val sysName = mkSys().name
+    test(s"$sysName: $what ($algoName)") {
+      val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 1), RawEdge(1, 4, 2), RawEdge(4, 2, 3), RawEdge(0, 3, 1)))
+      val algo: VCAlgo = if (algoName == "SSSP") SSSP(0) else BFS(0)
+      val sys = mkSys()
+      sys.initialize(g, algo)
+      val run = sys.update(GraphDelta(ups))
+      g.applyDelta(GraphDelta(ups))
+      val expect = LocalEngine.batch(algo, g).states
+      if (algoName == "SSSP") assert(expect(2L) == x2)
+      assertClose(expect, run.states, 1e-9, s"$sysName/$algoName")
+    }
+  }
+
   test("KickStarter's conservative trimming activates at least as much as Ingress") {
     val g = GraphGen.community(6, 40, 4.0, 80, 7)
     val algo = SSSP(0)

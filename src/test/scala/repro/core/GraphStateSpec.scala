@@ -11,7 +11,7 @@ class GraphStateSpec extends SparkSpec {
       EdgeUpdate(5, 6, 3.0, isAdd = true),   // new edge + new vertices
       EdgeUpdate(1, 2, 0.0, isAdd = false),  // real deletion
       EdgeUpdate(7, 8, 0.0, isAdd = false),  // missing: no-op
-    )))
+    )), SSSP(0))
     assert(eff.size == 2)
     assert(g.hasEdge(5, 6) && !g.hasEdge(1, 2) && g.hasEdge(0, 1))
     assert(g.vertices.contains(6L))
@@ -19,8 +19,8 @@ class GraphStateSpec extends SparkSpec {
 
   test("deletion reports the old weight so revision messages can cancel it") {
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 7)))
-    val eff = g.applyDelta(GraphDelta(Seq(EdgeUpdate(0, 1, 0.0, isAdd = false))))
-    assert(eff.head.w == 7.0)
+    val eff = g.applyDelta(GraphDelta(Seq(EdgeUpdate(0, 1, 0.0, isAdd = false))), SSSP(0))
+    assert(eff.head.wOld == 7.0)
   }
 
   test("weight change = delete + add") {
@@ -28,6 +28,28 @@ class GraphStateSpec extends SparkSpec {
     g.applyDelta(GraphDelta(Seq(
       EdgeUpdate(0, 1, 0.0, isAdd = false), EdgeUpdate(0, 1, 3.0, isAdd = true))))
     assert(g.weight(0, 1).contains(3.0))
+  }
+
+  test("a pair added and deleted in one batch nets out") {
+    val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 1), RawEdge(1, 2, 5), RawEdge(0, 3, 1)))
+    val diffs = g.applyDelta(GraphDelta(Seq(
+      EdgeUpdate(3, 2, 1.0, isAdd = true), EdgeUpdate(3, 2, 0.0, isAdd = false))), SSSP(0))
+    assert(diffs.isEmpty && !g.hasEdge(3, 2))
+  }
+
+  test("a pair added twice in one batch nets to one diff at its last weight") {
+    val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 1), RawEdge(1, 2, 5), RawEdge(0, 3, 1)))
+    val diffs = g.applyDelta(GraphDelta(Seq(
+      EdgeUpdate(3, 2, 1.0, isAdd = true), EdgeUpdate(3, 2, 4.0, isAdd = true))), SSSP(0))
+    assert(diffs == Seq(EdgeDiff(3, 2, Double.PositiveInfinity, 4.0)))
+  }
+
+  test("a degree change diffs the whole PageRank row, an unchanged BFS weight nothing") {
+    val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 1), RawEdge(2, 1, 3)))
+    val pr = g.applyDelta(GraphDelta(Seq(EdgeUpdate(0, 2, 1.0, isAdd = true))), PageRank())
+    assert(pr.toSet == Set(EdgeDiff(0, 1, 0.85, 0.425), EdgeDiff(0, 2, 0.0, 0.425)))
+    assert(g.applyDelta(GraphDelta(Seq(EdgeUpdate(2, 1, 7.0, isAdd = true))), BFS(0)).isEmpty)
+    assert(g.weight(2, 1).contains(7.0))
   }
 
   test("adjacency folds PageRank d/N_u into edge weights") {

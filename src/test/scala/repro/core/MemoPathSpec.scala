@@ -47,8 +47,7 @@ class MemoPathSpec extends SparkSpec {
       val batch = LocalEngine.batch(algo, g)
       val parents = MemoPath.computeParents(g.reverseAdjacency(algo), batch.states)
       val delta = GraphGen.delta(g, 6, 6, seed * 17)
-      val eff = g.applyDelta(delta)
-      val changes = eff.map(u => MemoPath.EdgeChange(u.src, u.dst, algo.edgeWeight(u.w, 1, u.w), u.isAdd))
+      val changes = g.applyDelta(delta, algo)
       val r = MemoPath.incremental(algo, engine, g.adjacency(algo), g.reverseAdjacency(algo),
         batch.states, parents, changes, conservative = conservative)
       val expect = LocalEngine.batch(algo, g)

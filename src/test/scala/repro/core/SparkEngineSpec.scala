@@ -46,16 +46,12 @@ class SparkEngineSpec extends SparkSpec {
     val g = GraphGen.random(70, 3.0, seed * 31)
     val states = LocalEngine.batch(algo, g).states
     val delta = GraphGen.delta(g, 10, if (algo.selective) 0 else 10, seed)
-    val srcs = delta.updates.map(_.src).distinct
-    val oldRows = srcs.map(u => u -> g.weightedRow(u, algo).toMap).toMap
-    val effective = g.applyDelta(delta)
+    val diffs = g.applyDelta(delta, algo)
     val seeds = algo.kind match {
       case MinPlus =>
-        effective.filter(u => u.isAdd && states(u.src).isFinite)
-          .map(u => u.dst -> algo.gen(states(u.src), algo.edgeWeight(u.w, 1, u.w)))
-      case SumTimes =>
-        Revision.sumSeeds(oldRows, srcs.map(u => u -> g.weightedRow(u, algo).toMap).toMap,
-          states, algo.absorbing)
+        diffs.filter(d => d.wNew.isFinite && states(d.src).isFinite)
+          .map(d => d.dst -> algo.gen(states(d.src), d.wNew))
+      case SumTimes => Revision.sumSeeds(diffs, states, algo.absorbing)
     }
     assert(seeds.nonEmpty && states.valuesIterator.exists(x => x.isFinite && x != 0.0))
     (g, states, seeds)

@@ -89,11 +89,9 @@ class IngressSpec extends SparkSpec {
     // u gains an out-edge: every old neighbor's weight drops from d/1 to d/2
     val g = GraphState.fromEdges(Seq(RawEdge(0, 1, 1)))
     val algo = PageRank(eps = 1e-9)
-    val old = g.weightedRow(0, algo).toMap
-    g.addEdge(0, 2, 1.0)
-    val now = g.weightedRow(0, algo).toMap
+    val diffs = g.applyDelta(GraphDelta(Seq(EdgeUpdate(0, 2, 1.0, isAdd = true))), algo)
     val states = scala.collection.mutable.LongMap(0L -> 1.0)
-    val seeds = Revision.sumSeeds(Map(0L -> old), Map(0L -> now), states, Set.empty).toMap
+    val seeds = Revision.sumSeeds(diffs, states, Set.empty).toMap
     assert(math.abs(seeds(1L) - (0.85 / 2 - 0.85)) < 1e-12)
     assert(math.abs(seeds(2L) - 0.85 / 2) < 1e-12)
   }

@@ -88,6 +88,23 @@ class LayphEngineSpec extends SparkSpec {
     assertClose(LocalEngine.batch(algo, g).states, run.states, 2e-3, "vertex-delta")
   }
 
+  // On this graph 119's exit proxy in subgraph 2 carries only 66->119
+  // (77->119 is routed through 77's entry proxy): deleting the edge drops
+  // the proxy's transparent link to 119, whose row must be diffed too.
+  for (name <- Seq("PageRank", "PHP")) {
+    test(s"deleting the only edge through an exit proxy cancels the proxy's link ($name)") {
+      val g = graph(4242)
+      assert(g.hasEdge(66, 119))
+      val algo = mk(name)
+      val sys = new LayphEngine(spark, plantedCfg, 4)
+      sys.initialize(g, algo)
+      val delta = GraphDelta(Seq(EdgeUpdate(66, 119, 0.0, isAdd = false)))
+      val run = sys.update(delta)
+      g.applyDelta(delta)
+      assertClose(LocalEngine.batch(algo, g).states, run.states, tol(algo), s"exit-proxy/$name")
+    }
+  }
+
   test("Figure 2 graph end-to-end: incremental states match Example 4-6") {
     val g = GraphGen.figure2
     val cfg = LayphConfig(
